@@ -1,23 +1,13 @@
 #include "src/analysis/report.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "src/isa/isa.h"
+#include "src/util/text_table.h"
 
 namespace specbench {
 
 namespace {
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;

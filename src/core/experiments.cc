@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/attack/attacks.h"
 #include "src/attack/speculation_probe.h"
 #include "src/core/paper_expectations.h"
 #include "src/isa/program.h"
@@ -125,7 +126,13 @@ std::string RenderTable2CpuInfo() {
 // sweep_grids.cc: their cell grids are registered with the deterministic
 // parallel runner instead of looping serially here.
 
-std::string RenderFigure2(const std::vector<AttributionReport>& reports) {
+namespace {
+
+// Stacked per-mitigation bars (segments under 0.05% omitted), then the
+// per-CPU totals with their CIs and the paper's expectation.
+std::string RenderAttributionFigure(const std::string& title,
+                                    const std::vector<AttributionReport>& reports,
+                                    const std::string& expectation) {
   std::vector<Bar> bars;
   for (const AttributionReport& report : reports) {
     Bar bar;
@@ -138,40 +145,30 @@ std::string RenderFigure2(const std::vector<AttributionReport>& reports) {
     }
     bars.push_back(bar);
   }
-  return RenderBarChart(
-      "Figure 2. Overhead of mitigations on the LEBench suite (per-mitigation stack)", bars);
+  std::string out = RenderBarChart(title, bars) + "\nPer-CPU totals (95% CI):\n";
+  for (const AttributionReport& report : reports) {
+    Appendf(out, "  %-16s %6.1f%% +/- %.1f%%\n", report.cpu.c_str(),
+            report.total_overhead_pct.value, report.total_overhead_pct.ci95);
+  }
+  return out + "\nPaper expectation: " + expectation;
 }
 
-std::string RenderAttributionCsv(const std::vector<AttributionReport>& reports) {
-  std::vector<std::vector<std::string>> rows;
-  for (const AttributionReport& report : reports) {
-    for (const AttributionSegment& segment : report.segments) {
-      rows.push_back({report.cpu, report.workload, segment.id,
-                      FormatDouble(segment.overhead_pct.value, 3),
-                      FormatDouble(segment.overhead_pct.ci95, 3)});
-    }
-    rows.push_back({report.cpu, report.workload, "TOTAL",
-                    FormatDouble(report.total_overhead_pct.value, 3),
-                    FormatDouble(report.total_overhead_pct.ci95, 3)});
-  }
-  return RenderCsv({"cpu", "workload", "mitigation", "overhead_pct", "ci95"}, rows);
+}  // namespace
+
+std::string RenderFigure2(const std::vector<AttributionReport>& reports) {
+  return RenderAttributionFigure(
+      "Figure 2. Overhead of mitigations on the LEBench suite (per-mitigation stack)", reports,
+      ">30% on Broadwell/Skylake, declining to <3% on the\n"
+      "newest parts; nearly all of it from a small number of mitigations\n"
+      "(PTI, MDS buffer clearing, Spectre V2), with Spectre V1 not measurable.");
 }
 
 std::string RenderFigure3(const std::vector<AttributionReport>& reports) {
-  std::vector<Bar> bars;
-  for (const AttributionReport& report : reports) {
-    Bar bar;
-    bar.label = report.cpu;
-    bar.error = report.total_overhead_pct.ci95;
-    for (const AttributionSegment& segment : report.segments) {
-      if (segment.overhead_pct.value > 0.05) {
-        bar.segments.push_back(BarSegment{segment.label, segment.overhead_pct.value});
-      }
-    }
-    bars.push_back(bar);
-  }
-  return RenderBarChart(
-      "Figure 3. Slowdown on the Octane 2 suite from JavaScript and OS mitigations", bars);
+  return RenderAttributionFigure(
+      "Figure 3. Slowdown on the Octane 2 suite from JavaScript and OS mitigations", reports,
+      "15-25% on every CPU, roughly half from JS-level\n"
+      "Spectre V1 mitigations (~4% index masking, ~6% object mitigations) and\n"
+      "a visible SSBD slice because the browser is a seccomp process.");
 }
 
 namespace {
@@ -495,6 +492,163 @@ std::string RenderEibrsBimodal() {
         << " cyc); every " << (slow != 0 ? 200 / slow : 0) << "th entry is slow\n";
   }
   return out.str();
+}
+
+namespace {
+
+double LeBenchGeomean(const CpuModel& cpu, const MitigationConfig& config, uint64_t seed) {
+  return LeBench::SuiteGeomean(LeBench::RunSuite(cpu, config, seed));
+}
+
+double OctaneScore(const CpuModel& cpu, const JitConfig& jit, const MitigationConfig& os,
+                   uint64_t seed) {
+  return Octane::SuiteScore(Octane::RunSuite(cpu, jit, os, seed));
+}
+
+const char* Outcome(const AttackResult& result) { return result.leaked ? "LEAK" : "safe"; }
+
+}  // namespace
+
+// Why Linux rejected legacy IBRS ("viewed as unacceptably high"), settled on
+// retpolines for old parts, and switched to eIBRS where silicon provides it.
+std::string RenderAblationSpectreV2() {
+  std::string out =
+      "LEBench overhead of each Spectre V2 strategy (vs no V2 mitigation),\n"
+      "with all other mitigations at their per-CPU defaults.\n\n";
+  Appendf(out, "%-16s %12s %12s %12s %12s\n", "CPU", "generic", "amd-lfence", "legacy IBRS",
+          "eIBRS");
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    MitigationConfig base = MitigationConfig::Defaults(cpu);
+    base.retpoline = RetpolineMode::kNone;
+    base.ibrs = IbrsMode::kOff;
+    const double none = LeBenchGeomean(cpu, base, 1);
+    // "n/a" where the CPU cannot run the strategy.
+    auto overhead = [&](bool supported, RetpolineMode retpoline, IbrsMode ibrs) {
+      if (!supported) {
+        return std::string("n/a");
+      }
+      MitigationConfig c = base;
+      c.retpoline = retpoline;
+      c.ibrs = ibrs;
+      return FormatDouble((LeBenchGeomean(cpu, c, 2) / none - 1.0) * 100.0, 1) + "%";
+    };
+    Appendf(out, "%-16s %12s %12s %12s %12s\n", UarchName(u),
+            overhead(true, RetpolineMode::kGeneric, IbrsMode::kOff).c_str(),
+            overhead(cpu.vendor == Vendor::kAmd, RetpolineMode::kAmd, IbrsMode::kOff).c_str(),
+            overhead(cpu.predictor.ibrs_supported && !cpu.predictor.eibrs, RetpolineMode::kNone,
+                     IbrsMode::kLegacyIbrs)
+                .c_str(),
+            overhead(cpu.predictor.eibrs, RetpolineMode::kNone, IbrsMode::kEibrs).c_str());
+  }
+  return out +
+         "\nExpected shape: legacy IBRS costs the most on pre-Spectre parts (an MSR\n"
+         "write on every entry *and* no indirect prediction anywhere); retpolines\n"
+         "are the cheaper software answer; eIBRS is nearly free where it exists.\n";
+}
+
+// "Both Broadwell and Skylake Client support PCIDs ... This allows many TLB
+// flushes to be avoided, and makes TLB impacts marginal compared to the
+// direct cost of switching the root page table pointer."
+std::string RenderAblationPcid() {
+  std::string out =
+      "LEBench overhead of PTI, with and without PCID-tagged TLBs\n"
+      "(Meltdown-vulnerable CPUs only).\n\n";
+  Appendf(out, "%-16s %16s %16s %14s\n", "CPU", "PTI w/ PCID", "PTI w/o PCID", "TLB share");
+  for (Uarch u : {Uarch::kBroadwell, Uarch::kSkylakeClient}) {
+    const CpuModel& cpu = GetCpuModel(u);
+    MitigationConfig off = MitigationConfig::Defaults(cpu);
+    off.pti = false;
+    const double base = LeBenchGeomean(cpu, off, 1);
+    MitigationConfig pcid = off;
+    pcid.pti = true;
+    const double with_pcid = (LeBenchGeomean(cpu, pcid, 2) / base - 1.0) * 100.0;
+    MitigationConfig nopcid = pcid;
+    nopcid.pcid = false;
+    const double without_pcid = (LeBenchGeomean(cpu, nopcid, 3) / base - 1.0) * 100.0;
+    Appendf(out, "%-16s %15.1f%% %15.1f%% %13.1f%%\n", UarchName(u), with_pcid, without_pcid,
+            without_pcid - with_pcid);
+  }
+  return out +
+         "\nExpected shape: the no-PCID column is visibly worse — every cr3 write\n"
+         "flushes the TLB, so each syscall restarts address translation cold.\n"
+         "With PCID the extra cost is almost entirely the mov-cr3 itself.\n";
+}
+
+// (1) Linux 5.16 stopped applying SSBD to seccomp processes, which the paper
+// predicted would drop Firefox's overhead unless Mozilla opts back in.
+// (2) Speculative Load Hardening would make the JIT output fully
+// Spectre-immune "albeit at considerable overhead".
+std::string RenderAblationBrowserFuture() {
+  std::string out = "Octane 2 total slowdown under browser mitigation futures.\n\n";
+  Appendf(out, "%-16s %14s %14s %14s\n", "CPU", "pre-5.16", "post-5.16", "SLH-only");
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    const double base = OctaneScore(cpu, JitConfig::AllOff(), MitigationConfig::AllOff(), 1);
+    // Pre-Linux-5.16: seccomp processes get SSBD implicitly.
+    MitigationConfig pre516 = MitigationConfig::Defaults(cpu);
+    pre516.ssbd = SsbdMode::kSeccomp;
+    const double pre = (base / OctaneScore(cpu, JitConfig::AllOn(), pre516, 2) - 1.0) * 100.0;
+    // Post-5.16: prctl only; Firefox does not opt in.
+    MitigationConfig post516 = MitigationConfig::Defaults(cpu);
+    post516.ssbd = SsbdMode::kPrctl;
+    const double post = (base / OctaneScore(cpu, JitConfig::AllOn(), post516, 3) - 1.0) * 100.0;
+    // SLH instead of the targeted JIT mitigations (OS side post-5.16).
+    const double slh = (base / OctaneScore(cpu, JitConfig::SlhOnly(), post516, 4) - 1.0) * 100.0;
+    Appendf(out, "%-16s %13.1f%% %13.1f%% %13.1f%%\n", UarchName(u), pre, post, slh);
+  }
+  return out +
+         "\nExpected shape: post-5.16 drops by roughly the SSBD slice (the paper's\n"
+         "§7 prediction); SLH is comprehensive but costs more than the targeted\n"
+         "index-masking + object-guard combination it would replace.\n";
+}
+
+// verw protects privilege transitions, but an SMT sibling samples fill
+// buffers *while* the victim runs: only disabling hyperthreading closes that
+// channel, which Linux nevertheless leaves on by default.
+std::string RenderAblationSmtMds() {
+  std::string out =
+      "MDS across SMT siblings: can the attacker recover the victim's data?\n\n";
+  Appendf(out, "%-16s %-22s %-22s %-22s\n", "CPU", "SMT on + verw", "SMT off + verw",
+          "SMT off, no verw");
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    Appendf(out, "%-16s %-22s %-22s %-22s\n", UarchName(u),
+            Outcome(RunMdsSmtAttack(cpu, MdsSmtOptions{true, true})),
+            Outcome(RunMdsSmtAttack(cpu, MdsSmtOptions{false, true})),
+            Outcome(RunMdsSmtAttack(cpu, MdsSmtOptions{false, false})));
+  }
+  return out +
+         "\nExpected shape: on MDS-vulnerable parts (Broadwell, Skylake, Cascade\n"
+         "Lake) the sibling leaks even though verw runs on every transition —\n"
+         "the paper's reason Table 1 lists 'Disable SMT' as required-but-not-\n"
+         "default. Fixed parts are safe in every column.\n";
+}
+
+// A hypothetical Ice-Lake-Server-class part with cmov+load fusion (the
+// paper's suggested hardware handling of the JIT's Spectre V1 masking
+// pattern) and the reserved ARCH_CAPABILITIES SSB_NO bit set.
+std::string RenderAblationFutureHardware() {
+  const CpuModel& future = FutureCpuModel();
+  std::string out = "Octane 2 total slowdown, full browser mitigation stack:\n\n";
+  for (const CpuModel* cpu : {&GetCpuModel(Uarch::kIceLakeServer), &future}) {
+    MitigationConfig os = MitigationConfig::Defaults(*cpu);
+    os.ssbd = SsbdMode::kSeccomp;  // the measurement-period default
+    const double base = OctaneScore(*cpu, JitConfig::AllOff(), MitigationConfig::AllOff(), 1);
+    const double with = OctaneScore(*cpu, JitConfig::AllOn(), os, 2);
+    Appendf(out, "  %-28s %6.1f%%\n", cpu->uarch_name.c_str(), (base / with - 1.0) * 100.0);
+  }
+  out += "\nSecurity check on the future part (mitigations still configured):\n";
+  const AttackResult v1 = RunSpectreV1Attack(future, /*index_masking=*/true);
+  const AttackResult v1_fused_only = RunSpectreV1Attack(future, /*index_masking=*/true, 5);
+  const AttackResult ssb = RunSsbAttack(future, /*ssbd=*/false);
+  Appendf(out, "  Spectre V1 vs fused index masking: %s / %s\n", Outcome(v1),
+          Outcome(v1_fused_only));
+  Appendf(out, "  Spec. Store Bypass on SSB_NO silicon (no SSBD at all): %s\n", Outcome(ssb));
+  return out +
+         "\nExpected shape: the future part keeps every attack closed while the\n"
+         "browser overhead drops to a fraction of today's — the paper's optimistic\n"
+         "outlook ('there is reason to be optimistic', sec. 8) quantified.\n";
 }
 
 }  // namespace specbench

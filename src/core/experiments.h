@@ -1,8 +1,9 @@
 // Experiment drivers: one entry point per table/figure of the paper.
 //
 // Each Run* function produces structured results; each Render* function
-// turns them into the terminal tables / ASCII bar charts the bench binaries
-// print. See DESIGN.md's experiment index for the mapping.
+// turns them into the terminal tables / ASCII bar charts that the matching
+// `spectrebench` subcommand prints. See DESIGN.md's experiment index for the
+// mapping.
 #ifndef SPECTREBENCH_SRC_CORE_EXPERIMENTS_H_
 #define SPECTREBENCH_SRC_CORE_EXPERIMENTS_H_
 
@@ -28,10 +29,9 @@ std::string RenderTable2CpuInfo();
 std::vector<AttributionReport> RunFigure2LeBench(const SamplerOptions& options,
                                                  const std::vector<Uarch>& cpus = AllUarches(),
                                                  const RunnerOptions& runner = RunnerOptions());
+// The stacked bars, then per-CPU totals with their 95% CIs and the paper's
+// expectation (likewise RenderFigure3).
 std::string RenderFigure2(const std::vector<AttributionReport>& reports);
-// CSV form of any attribution-report set (Figures 2 and 3): one row per
-// (cpu, segment) plus a TOTAL row per CPU.
-std::string RenderAttributionCsv(const std::vector<AttributionReport>& reports);
 
 // --- Figure 3: Octane 2 overhead attribution --------------------------------
 std::vector<AttributionReport> RunFigure3Octane(const SamplerOptions& options,
@@ -86,6 +86,15 @@ std::string RenderTables9And10();
 
 // --- Section 6.2.2: eIBRS bimodal kernel-entry latency (extension) ----------
 std::string RenderEibrsBimodal();
+
+// --- Ablations: design choices the paper discusses (§3.3, §5.1, §5.3, §7) ---
+// Each renderer runs its experiment and returns the table plus the expected
+// shape; `spectrebench ablations` prints all five in this order.
+std::string RenderAblationSpectreV2();       // §5.3/§6.2.1: V2 strategy costs
+std::string RenderAblationPcid();            // §5.1: PTI with vs without PCID
+std::string RenderAblationBrowserFuture();   // §7: post-5.16 SSBD, SLH
+std::string RenderAblationSmtMds();          // §3.3: MDS across SMT siblings
+std::string RenderAblationFutureHardware();  // §7/§9: cmov fusion + SSB_NO
 
 }  // namespace specbench
 

@@ -2,10 +2,9 @@
 //
 // Each Build*Grid function registers one cell per independent
 // (CPU × config × workload) point of an experiment with the deterministic
-// parallel runner (src/runner/sweep.h), replacing the hand-rolled nested
-// loops the bench binaries used to run serially. A future figure or table
-// driver is one registration call: build a grid, Run() it, convert the
-// SweepResult back to the driver's report type for rendering.
+// parallel runner (src/runner/sweep.h). A future figure or table driver is
+// one registration call: build a grid, Run() it, convert the SweepResult
+// back to the driver's report type for rendering.
 #ifndef SPECTREBENCH_SRC_CORE_SWEEP_GRIDS_H_
 #define SPECTREBENCH_SRC_CORE_SWEEP_GRIDS_H_
 
@@ -44,11 +43,22 @@ struct DifftestGridOptions {
 };
 Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 
+// Software-mitigation pass overhead matrix (the paper's §6.4 lfence story,
+// generalized to the whole pass registry, src/analysis/passes.h): one cell
+// per (CPU, workload, pass), in that order, keyed {cpu, pass name, workload}.
+// Each cell hardens a small hand-built program with the pass and reports the
+// unmitigated ("base") and "hardened" cycle counts, the overhead in percent
+// ("total") and the instructions the pass "added". Cycle-exact and
+// seed-free. The headline comparisons are targeted-lfence vs blanket-lfence
+// (fence only flagged gadgets vs every branch edge) and v1-index-mask vs
+// targeted-lfence (a data dependency instead of a pipeline drain).
+Sweep BuildPassesGrid(const std::vector<Uarch>& cpus);
+
 // Shared grid-name dispatcher for `spectrebench sweep` and the sweep
 // service: builds and merges the named grids ("fig2", "fig3", "sec45",
-// "difftest") in list order. `seed_begin`/`seed_end`/`fast` only affect the
-// difftest grid; `sampler` only the figure/section grids. Returns false
-// with a one-line reason for an unknown grid name.
+// "difftest", "passes") in list order. `seed_begin`/`seed_end`/`fast` only
+// affect the difftest grid; `sampler` only the figure/section grids. Returns
+// false with a one-line reason for an unknown grid name.
 struct NamedGridOptions {
   std::vector<std::string> grids;
   std::vector<Uarch> cpus = AllUarches();

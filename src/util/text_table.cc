@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -206,6 +207,15 @@ std::string FormatCycles(double value) {
     return FormatDouble(value, 0);
   }
   return FormatDouble(value, value >= 10.0 ? 0 : 1);
+}
+
+void Appendf(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  out += buf;
 }
 
 }  // namespace specbench

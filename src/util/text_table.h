@@ -1,9 +1,8 @@
 // Plain-text rendering of tables and bar charts.
 //
 // Every experiment in the paper is either a table (Tables 1-10) or a bar
-// figure (Figures 2, 3, 5). The bench binaries render their results with
-// these helpers so the terminal output can be compared side by side with the
-// paper.
+// figure (Figures 2, 3, 5). The experiment renderers use these helpers so
+// the terminal output can be compared side by side with the paper.
 #ifndef SPECTREBENCH_SRC_UTIL_TEXT_TABLE_H_
 #define SPECTREBENCH_SRC_UTIL_TEXT_TABLE_H_
 
@@ -71,6 +70,10 @@ std::string RenderCsv(const std::vector<std::string>& header,
 std::string FormatDouble(double value, int decimals);
 std::string FormatPercent(double value, int decimals = 1);
 std::string FormatCycles(double value);
+
+// printf-style append, for fixed-width rows (each call formats at most 511
+// bytes).
+void Appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 }  // namespace specbench
 

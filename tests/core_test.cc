@@ -215,18 +215,6 @@ TEST(Microbench, Table5ShapeHolds) {
   EXPECT_GT(zen1.amd_retpoline, zen1.generic_retpoline);
 }
 
-TEST(Experiments, AttributionCsvRoundTrip) {
-  AttributionReport report;
-  report.cpu = "TestCpu";
-  report.workload = "wl";
-  report.total_overhead_pct = {12.5, 0.4};
-  report.segments.push_back({"pti", "Page Table Isolation", {7.25, 0.2}});
-  const std::string csv = RenderAttributionCsv({report});
-  EXPECT_NE(csv.find("cpu,workload,mitigation,overhead_pct,ci95"), std::string::npos);
-  EXPECT_NE(csv.find("TestCpu,wl,pti,7.250,0.200"), std::string::npos);
-  EXPECT_NE(csv.find("TestCpu,wl,TOTAL,12.500,0.400"), std::string::npos);
-}
-
 TEST(Experiments, Tables9And10Render) {
   const std::string rendered = RenderTables9And10();
   EXPECT_NE(rendered.find("Table 9"), std::string::npos);

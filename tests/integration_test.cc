@@ -1,14 +1,17 @@
 // Cross-module integration: attacks and mitigations exercised through the
 // *full* OS stack (real syscall paths, real context switches, real address
 // spaces) rather than the bare machine — plus tracer and percentile
-// plumbing used by the analysis tooling.
+// plumbing used by the analysis tooling, and the fast path's speed floor.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
+#include "src/difftest/difftest.h"
 #include "src/os/kernel.h"
 #include "src/stats/summary.h"
+#include "src/uarch/decoded_trace.h"
 #include "src/uarch/machine.h"
 
 namespace specbench {
@@ -294,6 +297,37 @@ TEST(Percentile, SeparatesBimodalModes) {
   }
   EXPECT_DOUBLE_EQ(Median(v), 100.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 99), 300.0);
+}
+
+// --- Fast-path speed floor (docs/perf.md) ----------------------------------
+
+// Single-threaded wall seconds of the 500-seed difftest sweep.
+double TimeDifftestSeconds(bool fast) {
+  DifftestOptions options;
+  options.seed_begin = 0;
+  options.seed_end = 500;
+  options.jobs = 1;  // engine throughput, not the pool
+  options.shrink = false;
+  options.fast = fast;
+  const auto begin = std::chrono::steady_clock::now();
+  const DifftestReport report = RunDifftest(options);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  EXPECT_TRUE(report.ok()) << (fast ? "fast" : "detailed") << ":\n" << report.ToText();
+  return seconds;
+}
+
+TEST(SimulatorThroughput, FastPathIsAtLeastFiveTimesTheDetailedEngine) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "wall-clock ratio is meaningless under sanitizer instrumentation";
+#endif
+  const double detailed = TimeDifftestSeconds(/*fast=*/false);
+  // The fast sweep starts from an empty trace cache.
+  TraceCache::Global().Clear();
+  TraceCache::Global().ResetStats();
+  const double fast = TimeDifftestSeconds(/*fast=*/true);
+  EXPECT_GE(detailed, 5.0 * fast) << "detailed " << detailed << " s vs fast " << fast << " s ("
+                                  << detailed / fast << "x, floor 5x)";
 }
 
 }  // namespace

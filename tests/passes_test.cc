@@ -5,8 +5,10 @@
 // and code-immediate remapping).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/corpus.h"
@@ -14,6 +16,7 @@
 #include "src/analysis/passes.h"
 #include "src/analysis/rewriter.h"
 #include "src/attack/suite.h"
+#include "src/core/sweep_grids.h"
 #include "src/cpu/cpu_model.h"
 #include "src/difftest/difftest.h"
 #include "src/difftest/equivalence.h"
@@ -207,6 +210,41 @@ TEST(PassFuzz, FixpointAndEquivalenceOnGeneratedPrograms) {
           << pass->name() << " seed " << seed << ": " << eq.divergence;
     }
   }
+}
+
+// --- The `passes` sweep grid: pass-vs-pass overhead ------------------------
+
+TEST(PassMatrix, TargetedBeatsBlanketAndMaskBeatsTargetedSomewhere) {
+  NamedGridOptions options;
+  options.grids = {"passes"};
+  Sweep sweep;
+  std::string error;
+  ASSERT_TRUE(BuildNamedGrids(options, &sweep, &error)) << error;
+  RunnerOptions runner;
+  runner.jobs = 1;
+  const SweepResult result = sweep.Run(runner);
+  ASSERT_EQ(result.cells.size(), AllUarches().size() * 5 * MitigationPasses().size());
+
+  // Hardened cycles per (cpu, workload) row, by pass name.
+  std::map<std::pair<std::string, std::string>, std::map<std::string, double>> rows;
+  for (const SweepCellResult& cell : result.cells) {
+    for (const CellMetric& metric : cell.output.metrics) {
+      if (metric.id == "hardened") {
+        rows[{cell.key.cpu, cell.key.workload}][cell.key.config] = metric.estimate.value;
+      }
+    }
+  }
+  int targeted_wins = 0;  // targeted-lfence strictly cheaper than blanket-lfence
+  int mask_wins = 0;      // v1-index-mask strictly cheaper than targeted-lfence
+  for (auto& [row, hardened] : rows) {
+    ASSERT_EQ(hardened.count("targeted-lfence"), 1u);
+    ASSERT_EQ(hardened.count("blanket-lfence"), 1u);
+    ASSERT_EQ(hardened.count("v1-index-mask"), 1u);
+    targeted_wins += hardened["targeted-lfence"] < hardened["blanket-lfence"] ? 1 : 0;
+    mask_wins += hardened["v1-index-mask"] < hardened["targeted-lfence"] ? 1 : 0;
+  }
+  EXPECT_GT(targeted_wins, 0);
+  EXPECT_GT(mask_wins, 0);
 }
 
 // --- Switchpoline structure ----------------------------------------------

@@ -81,20 +81,24 @@ TEST_F(TraceCacheTest, HotWorkingSetSurvivesColdStream) {
   // its referenced bits keep it resident.
   cache.ResetStats();
   int64_t next_cold = kHot;
+  uint64_t hot_hits = 0;
+  uint64_t hot_touches = 0;
   for (int burst = 0; burst < 4 * static_cast<int>(TraceCache::kMaxEntries) / 256; burst++) {
     for (int c = 0; c < 256; c++) {
       cache.Acquire(TaggedProgram(next_cold++), Uarch::kZen3);
     }
+    const uint64_t hits_before = cache.stats().hits;
     for (int64_t h = 0; h < kHot; h++) {
       cache.Acquire(TaggedProgram(h), Uarch::kZen3);
+      hot_touches++;
     }
+    hot_hits += cache.stats().hits - hits_before;
   }
   const TraceCache::Stats stats = cache.stats();
-  // Every hot re-acquisition after the first burst must hit. Allow the first
-  // touch per hot key to miss (cold cache after ResetStats it is not — the
-  // entries survive — so in fact all hot touches hit).
-  const uint64_t hot_touches = stats.hits;
-  EXPECT_GE(hot_touches, 16u * kHot) << "hot set was evicted by the cold stream";
+  // Wholesale eviction would drop the hot set at every capacity boundary
+  // and cliff this rate; second-chance keeps it at ~1.
+  EXPECT_GE(static_cast<double>(hot_hits), 0.95 * static_cast<double>(hot_touches))
+      << hot_hits << " of " << hot_touches << " hot touches hit";
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(cache.stats().entries, TraceCache::kMaxEntries);
 }

@@ -3,13 +3,15 @@
 // mode for quick iterations.
 //
 //   spectrebench list
-//   spectrebench table1|table2|...|table8|tables9-10|sec622
+//   spectrebench table1|table2|...|table8|tables9-10|sec622|ablations
 //   spectrebench fig2|fig3|fig5|sec44|sec45 [--fast] [--cpus=Zen 3,Broadwell]
-//   spectrebench sweep [--grids=fig2,fig3,sec45] [--jobs=N] [--seed=S] [--csv]
+//   spectrebench sweep [--grids=fig2,fig3,sec45,difftest,passes] [--jobs=N]
+//                      [--seed=S] [--csv]
 //   spectrebench attacks [--cpus=...]
 //   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -79,10 +81,9 @@ struct CliOptions {
   bool send_shutdown = false;          // submit: stop the server
 };
 
-// Strict --seeds=A:B parser: both endpoints must be decimal numbers with no
-// trailing garbage and the range must be non-empty (B > A; B exclusive).
-// Reversed, empty and non-numeric ranges are command-line errors, not
-// silently-empty work lists.
+// Strict numeric flag parsing: decimal digits only, no sign, no trailing
+// garbage, no overflow. The numeric flags go through here, so a typo is a
+// command-line error rather than a silent 0.
 bool ParseU64Strict(const std::string& text, uint64_t* out) {
   if (text.empty()) {
     return false;
@@ -98,6 +99,21 @@ bool ParseU64Strict(const std::string& text, uint64_t* out) {
   return end == text.c_str() + text.size() && errno == 0;
 }
 
+// The int-valued twin (--jobs, --trials): ParseU64Strict, then the value
+// must lie in [min, INT_MAX].
+bool ParseIntStrict(const std::string& text, int min, int* out) {
+  uint64_t value = 0;
+  if (!ParseU64Strict(text, &value) || value < static_cast<uint64_t>(min) ||
+      value > static_cast<uint64_t>(INT_MAX)) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Strict --seeds=A:B parser: both endpoints must be decimal numbers and the
+// range must be non-empty (B > A; B exclusive). Reversed, empty and
+// non-numeric ranges are command-line errors, not silently-empty work lists.
 bool ParseSeedRange(const std::string& value, uint64_t* begin, uint64_t* end,
                     std::string* error) {
   const size_t colon = value.find(':');
@@ -144,6 +160,7 @@ const std::vector<CommandSpec>& CommandSpecs() {
       {"table8", {}},
       {"tables9-10", {}},
       {"sec622", {}},
+      {"ablations", {}},
       {"fig2", {"--fast", "--cpus"}},
       {"fig3", {"--fast", "--cpus"}},
       {"fig5", {"--cpus"}},
@@ -1037,17 +1054,21 @@ void PrintUsage() {
       "  table5       indirect branch variants         table6  IBPB cycles\n"
       "  table7       RSB stuffing cycles              table8  lfence cycles\n"
       "  tables9-10   the speculation probe matrix     sec622  eIBRS bimodality\n"
+      "  ablations    the five design-choice ablations (V2 strategies, PCID,\n"
+      "               browser futures, MDS across SMT, future hardware)\n"
       "  fig2         LEBench attribution (per CPU)\n"
       "  fig3         Octane 2 attribution (per CPU)\n"
       "  fig5         SSBD on PARSEC (per CPU)\n"
       "  sec44        VM workloads                     sec45   PARSEC defaults\n"
       "  fig2-kernels per-kernel LEBench overhead drill-down\n"
       "  sweep        run experiment grids on the deterministic parallel\n"
-      "               runner: [--grids=fig2,fig3,sec45,difftest] [--jobs=N]\n"
-      "               [--seed=S] [--workloads=a,b] [--configs=c] [--csv]\n"
-      "               [--quiet]; the difftest grid takes [--seeds=A:B]\n"
-      "               [--fast]; JSON/CSV on stdout is byte-identical for\n"
-      "               any --jobs and for --fast vs detailed;\n"
+      "               runner: [--grids=fig2,fig3,sec45,difftest,passes]\n"
+      "               [--jobs=N] [--seed=S] [--workloads=a,b] [--configs=c]\n"
+      "               [--csv] [--quiet]; the difftest grid takes [--seeds=A:B]\n"
+      "               [--fast]; passes is the mitigation-pass overhead\n"
+      "               matrix (CPU x workload x pass, cycle-exact);\n"
+      "               JSON/CSV on stdout is byte-identical for any --jobs\n"
+      "               and for --fast vs detailed;\n"
       "               [--checkpoint=FILE] journals each finished cell\n"
       "               (crash-safe, fsynced) and [--resume] restarts a killed\n"
       "               run from the journal; [--shard=i/N] runs slice i of N\n"
@@ -1148,15 +1169,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--strict-boot-params") {
       options.strict_boot_params = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::atoi(arg.c_str() + 7);
+      if (!ParseIntStrict(arg.substr(7), 0, &options.jobs)) {
+        std::fprintf(stderr, "%s: want a worker count >= 0 (0 = all cores)\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--trials=", 0) == 0) {
-      options.trials = std::atoi(arg.c_str() + 9);
-      if (options.trials < 1) {
-        std::fprintf(stderr, "--trials=%s: want a positive repeat count\n", arg.c_str() + 9);
+      if (!ParseIntStrict(arg.substr(9), 1, &options.trials)) {
+        std::fprintf(stderr, "%s: want a positive repeat count\n", arg.c_str());
         return 2;
       }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseU64Strict(arg.substr(7), &options.seed)) {
+        std::fprintf(stderr, "%s: \"%s\" is not a decimal seed\n", arg.c_str(),
+                     arg.c_str() + 7);
+        return 2;
+      }
     } else if (arg.rfind("--seeds=", 0) == 0) {
       const std::string value = arg.substr(8);
       std::string error;
@@ -1168,7 +1195,12 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--passes=", 0) == 0) {
       options.passes = SplitCsv(arg.substr(9));
     } else if (arg.rfind("--inject-alu-fault=", 0) == 0) {
-      options.inject_alu_fault = std::strtoull(arg.c_str() + 19, nullptr, 10);
+      // 0 would inject nothing and let the self-check pass vacuously.
+      if (!ParseU64Strict(arg.substr(19), &options.inject_alu_fault) ||
+          options.inject_alu_fault == 0) {
+        std::fprintf(stderr, "%s: want a positive ALU-op index\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--corpus-out=", 0) == 0) {
       options.corpus_out = arg.substr(13);
     } else if (arg.rfind("--replay=", 0) == 0) {
@@ -1253,6 +1285,12 @@ int main(int argc, char** argv) {
   }
   if (command == "sec622") {
     std::printf("%s\n", RenderEibrsBimodal().c_str());
+    return 0;
+  }
+  if (command == "ablations") {
+    std::printf("%s%s%s%s%s", RenderAblationSpectreV2().c_str(), RenderAblationPcid().c_str(),
+                RenderAblationBrowserFuture().c_str(), RenderAblationSmtMds().c_str(),
+                RenderAblationFutureHardware().c_str());
     return 0;
   }
   if (command == "fig2") {
