@@ -1,28 +1,14 @@
 #include "src/core/attribution.h"
 
-#include "src/util/check.h"
+#include <utility>
+
 #include "src/util/rng.h"
 
 namespace specbench {
 
 namespace {
 
-// Measures one configuration with the adaptive sampler; the seed changes per
-// sample so the simulated run-to-run noise drives the CI. Sampler health is
-// folded into the report.
-Estimate MeasureConfig(const OsMeasureFn& measure, const MitigationConfig& config,
-                       uint64_t seed_base, const SamplerOptions& options,
-                       AttributionReport* report) {
-  uint64_t seed = seed_base;
-  const SampleResult result =
-      SampleUntilConverged([&] { return measure(config, seed++); }, options);
-  report->total_samples += result.samples;
-  report->converged = report->converged && result.converged;
-  report->saw_non_finite = report->saw_non_finite || result.saw_non_finite();
-  return result.estimate;
-}
-
-// Overhead of `slow` relative to `fast`, respecting metric direction.
+// Overhead of keeping a mitigation on, respecting metric direction.
 Estimate OverheadPct(const Estimate& with_mitigation, const Estimate& without,
                      bool lower_is_better) {
   if (lower_is_better) {
@@ -90,100 +76,101 @@ double AttributionReport::SegmentSum() const {
   return sum;
 }
 
-AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string& workload,
-                                         const OsMeasureFn& measure, bool lower_is_better,
-                                         const SamplerOptions& options, uint64_t base_seed) {
+AttributionReport AttributeChain(const CpuModel& cpu, const std::string& workload,
+                                 const std::vector<ChainLink>& links,
+                                 const ChainMeasureFn& measure, bool lower_is_better,
+                                 const SamplerOptions& options, uint64_t base_seed) {
   AttributionReport report;
   report.cpu = UarchName(cpu.uarch);
   report.workload = workload;
 
   // Every configuration's sample-seed stream derives from base_seed alone,
-  // so the whole attribution chain is a pure function of its inputs.
+  // so the whole chain is a pure function of its inputs.
   uint64_t seed_stream = base_seed;
-  MitigationConfig config = MitigationConfig::Defaults(cpu);
-  Estimate current = MeasureConfig(measure, config, SplitMix64Next(&seed_stream), options,
-                                   &report);
-  const Estimate with_all = current;
-
-  for (const MitigationKnob& knob : OsMitigationKnobs()) {
-    if (!knob.relevant(cpu, config)) {
-      continue;
-    }
-    MitigationConfig next = config;
-    knob.disable(&next);
-    const Estimate without =
-        MeasureConfig(measure, next, SplitMix64Next(&seed_stream), options, &report);
-    // This knob's contribution: overhead of keeping it on, relative to the
-    // configuration with it (and everything later) still enabled.
-    const Estimate delta = OverheadPct(current, without, lower_is_better);
-    report.segments.push_back(AttributionSegment{knob.id, knob.label, delta});
-    config = next;
-    current = without;
-  }
-  // `current` is now the mitigations=off baseline.
-  report.total_overhead_pct = OverheadPct(with_all, current, lower_is_better);
-  return report;
-}
-
-AttributionReport AttributeBrowserMitigations(const CpuModel& cpu,
-                                              const BrowserMeasureFn& measure,
-                                              const SamplerOptions& options,
-                                              uint64_t base_seed) {
-  AttributionReport report;
-  report.cpu = UarchName(cpu.uarch);
-  report.workload = "octane2";
-
-  // Figure 3 sweep order: JS-level mitigations first (blue in the paper),
-  // then the OS-level ones that apply to the sandboxed browser (green).
-  struct Step {
-    std::string id;
-    std::string label;
-    std::function<void(JitConfig*, MitigationConfig*)> disable;
-  };
-  const std::vector<Step> steps = {
-      {"index_masking", "Index masking",
-       [](JitConfig* jit, MitigationConfig*) { jit->index_masking = false; }},
-      {"object_guards", "Object mitigations",
-       [](JitConfig* jit, MitigationConfig*) { jit->object_guards = false; }},
-      {"other_js", "Other JavaScript",
-       [](JitConfig* jit, MitigationConfig*) { jit->pointer_poisoning = false; }},
-      {"ssbd", "SSBD (seccomp)",
-       [](JitConfig*, MitigationConfig* os) { os->ssbd = SsbdMode::kOff; }},
-      {"other_os", "Other OS",
-       [](JitConfig*, MitigationConfig* os) { *os = MitigationConfig::AllOff(); }},
-  };
-
-  JitConfig jit = JitConfig::AllOn();
-  MitigationConfig os = MitigationConfig::Defaults(cpu);
-  uint64_t seed_stream = base_seed;
-  auto measure_current = [&] {
+  auto measure_config = [&](size_t index) {
     uint64_t seed = SplitMix64Next(&seed_stream);
     const SampleResult result =
-        SampleUntilConverged([&] { return measure(jit, os, seed++); }, options);
+        SampleUntilConverged([&] { return measure(index, seed++); }, options);
     report.total_samples += result.samples;
     report.converged = report.converged && result.converged;
     report.saw_non_finite = report.saw_non_finite || result.saw_non_finite();
     return result.estimate;
   };
 
-  Estimate current = measure_current();
-  const Estimate with_all = current;
-  for (const Step& step : steps) {
-    JitConfig next_jit = jit;
-    MitigationConfig next_os = os;
-    step.disable(&next_jit, &next_os);
-    jit = next_jit;
-    os = next_os;
-    const Estimate without = measure_current();
-    // Octane is higher-is-better: disabling a mitigation raises the score.
-    // This step's overhead = (score_without / score_with - 1) * 100.
-    report.segments.push_back(
-        AttributionSegment{step.id, step.label,
-                           RelativeOverheadPercent(without, current)});
+  const Estimate with_all = measure_config(0);
+  Estimate current = with_all;
+  for (size_t i = 0; i < links.size(); i++) {
+    const Estimate without = measure_config(i + 1);
+    report.segments.push_back(AttributionSegment{
+        links[i].id, links[i].label, OverheadPct(current, without, lower_is_better)});
     current = without;
   }
-  report.total_overhead_pct = RelativeOverheadPercent(current, with_all);
+  // `current` is now the last configuration in the chain.
+  report.total_overhead_pct = OverheadPct(with_all, current, lower_is_better);
   return report;
+}
+
+AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string& workload,
+                                         const OsMeasureFn& measure, bool lower_is_better,
+                                         const SamplerOptions& options, uint64_t base_seed) {
+  // Relevance depends only on the configuration, so the whole chain is laid
+  // out before anything is measured.
+  std::vector<ChainLink> links;
+  std::vector<MitigationConfig> configs = {MitigationConfig::Defaults(cpu)};
+  for (const MitigationKnob& knob : OsMitigationKnobs()) {
+    if (!knob.relevant(cpu, configs.back())) {
+      continue;
+    }
+    MitigationConfig next = configs.back();
+    knob.disable(&next);
+    configs.push_back(next);
+    links.push_back(ChainLink{knob.id, knob.label});
+  }
+  return AttributeChain(
+      cpu, workload, links,
+      [&](size_t index, uint64_t seed) { return measure(configs[index], seed); },
+      lower_is_better, options, base_seed);
+}
+
+AttributionReport AttributeBrowserMitigations(const CpuModel& cpu,
+                                              const BrowserMeasureFn& measure,
+                                              const SamplerOptions& options,
+                                              uint64_t base_seed) {
+  // Figure 3 sweep order: JS-level mitigations first (blue in the paper),
+  // then the OS-level ones that apply to the sandboxed browser (green).
+  struct Step {
+    ChainLink link;
+    std::function<void(JitConfig*, MitigationConfig*)> disable;
+  };
+  const std::vector<Step> steps = {
+      {{"index_masking", "Index masking"},
+       [](JitConfig* jit, MitigationConfig*) { jit->index_masking = false; }},
+      {{"object_guards", "Object mitigations"},
+       [](JitConfig* jit, MitigationConfig*) { jit->object_guards = false; }},
+      {{"other_js", "Other JavaScript"},
+       [](JitConfig* jit, MitigationConfig*) { jit->pointer_poisoning = false; }},
+      {{"ssbd", "SSBD (seccomp)"},
+       [](JitConfig*, MitigationConfig* os) { os->ssbd = SsbdMode::kOff; }},
+      {{"other_os", "Other OS"},
+       [](JitConfig*, MitigationConfig* os) { *os = MitigationConfig::AllOff(); }},
+  };
+
+  std::vector<ChainLink> links;
+  std::vector<std::pair<JitConfig, MitigationConfig>> configs = {
+      {JitConfig::AllOn(), MitigationConfig::Defaults(cpu)}};
+  for (const Step& step : steps) {
+    std::pair<JitConfig, MitigationConfig> next = configs.back();
+    step.disable(&next.first, &next.second);
+    configs.push_back(next);
+    links.push_back(step.link);
+  }
+  // Octane is higher-is-better: disabling a mitigation raises the score.
+  return AttributeChain(
+      cpu, "octane2", links,
+      [&](size_t index, uint64_t seed) {
+        return measure(configs[index].first, configs[index].second, seed);
+      },
+      /*lower_is_better=*/false, options, base_seed);
 }
 
 }  // namespace specbench

@@ -5,11 +5,12 @@
 // default set of mitigations enabled, and then use kernel boot parameters to
 // successively disable them to determine the overhead that each one causes."
 //
-// AttributeOsMitigations does exactly that: measure the default
-// configuration (sampling until the 95% CI converges), then disable one
-// mitigation at a time — in a fixed order — re-measuring after each step
-// down to mitigations=off. The per-mitigation overhead is the successive
-// difference; the segments stack to the total (Figures 2 and 3).
+// AttributeChain does exactly that: measure the default configuration
+// (sampling until the 95% CI converges), then disable one mitigation at a
+// time — in a fixed order — re-measuring after each step down to
+// mitigations=off. Each segment is the overhead of one configuration
+// relative to the next, so the segments compound to the total rather than
+// sum to it (Figures 2 and 3).
 #ifndef SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 #define SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 
@@ -43,14 +44,14 @@ const std::vector<MitigationKnob>& OsMitigationKnobs();
 struct AttributionSegment {
   std::string id;
   std::string label;
-  Estimate overhead_pct;  // percentage points of the stacked total
+  Estimate overhead_pct;  // this link's step in the chain; see AttributeChain
 };
 
 struct AttributionReport {
   std::string cpu;
   std::string workload;
   Estimate total_overhead_pct;
-  std::vector<AttributionSegment> segments;  // only knobs with nonzero effect
+  std::vector<AttributionSegment> segments;  // one per link, in disable order
 
   // Sampler health, aggregated over every configuration measured: finite
   // samples used in the estimates (non-finite draws are excluded; see
@@ -61,14 +62,10 @@ struct AttributionReport {
   bool converged = true;
   bool saw_non_finite = false;
 
-  // Sum of segment midpoints (== total up to measurement error).
+  // Sum of segment midpoints. Segments compound (see AttributeChain), so
+  // for positive overheads the sum falls below the total.
   double SegmentSum() const;
 };
-
-// A measurement under one OS configuration; seed varies per sample so the
-// injected run-to-run noise exercises the CI machinery. Returns a score or
-// cost for the whole workload.
-using OsMeasureFn = std::function<double(const MitigationConfig&, uint64_t seed)>;
 
 // Default `base_seed` for the attribution sweeps below. Seeds for the
 // per-configuration measurements are derived from the base via SplitMix64,
@@ -76,8 +73,44 @@ using OsMeasureFn = std::function<double(const MitigationConfig&, uint64_t seed)
 // deterministic seed and get results independent of execution order.
 inline constexpr uint64_t kDefaultAttributionSeed = 1000;
 
-// Successively disables knobs on top of the CPU's default configuration.
-// `lower_is_better` selects cost (cycles) vs score (Octane) semantics.
+// One mitigation (or group) disabled by a step of a successive-disable chain.
+struct ChainLink {
+  std::string id;
+  std::string label;
+};
+
+// Measures configuration `config_index` of a chain with sample seed `seed`:
+// index 0 has every mitigation on; index i has links [0, i) disabled.
+// Returns a cost (cycles) or a score (Octane) for the whole workload.
+using ChainMeasureFn = std::function<double(size_t config_index, uint64_t seed)>;
+
+// The §4.1 loop. Samples configurations 0..links.size() in order, each until
+// its 95% CI converges, from its own seed stream: configuration i samples
+// seeds s_i, s_i + 1, ... where s_i is the (i+1)-th SplitMix64 draw from
+// `base_seed`. Sampler health from every configuration folds into the report.
+//
+// With M_i the estimate of configuration i and n = links.size(), segment i
+// is the overhead of keeping link i on, relative to the configuration with
+// it (and every later link) still enabled:
+//   cost  (lower_is_better):  (M_i / M_{i+1} - 1) * 100
+//   score (higher is better): (M_{i+1} / M_i - 1) * 100
+// and the total is the same ratio between M_0 and M_n. The segments
+// compound: (1 + total/100) = prod(1 + segment_i/100).
+AttributionReport AttributeChain(const CpuModel& cpu, const std::string& workload,
+                                 const std::vector<ChainLink>& links,
+                                 const ChainMeasureFn& measure, bool lower_is_better,
+                                 const SamplerOptions& options = SamplerOptions(),
+                                 uint64_t base_seed = kDefaultAttributionSeed);
+
+// A measurement under one OS configuration; seed varies per sample so the
+// injected run-to-run noise exercises the CI machinery. Returns a score or
+// cost for the whole workload.
+using OsMeasureFn = std::function<double(const MitigationConfig&, uint64_t seed)>;
+
+// Figure 2: a chain over the OsMitigationKnobs() that are relevant on top
+// of the CPU's default configuration, each tested against the configuration
+// with the earlier knobs already disabled. `lower_is_better` selects cost
+// (cycles) vs score (Octane) semantics.
 AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string& workload,
                                          const OsMeasureFn& measure, bool lower_is_better,
                                          const SamplerOptions& options = SamplerOptions(),

@@ -204,6 +204,16 @@ double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t
   return ApplyNoise(static_cast<double>(result.cycles), seed, 0.012);
 }
 
+// Samples `run` with host mitigations on, then off, each side from its own
+// fixed seed stream, and returns the on-vs-off overhead.
+Estimate HostOverheadPct(const std::function<double(bool host_on, uint64_t seed)>& run,
+                         uint64_t seed_on, uint64_t seed_off, const SamplerOptions& options) {
+  const Estimate on = SampleUntilConverged([&] { return run(true, seed_on++); }, options).estimate;
+  const Estimate off =
+      SampleUntilConverged([&] { return run(false, seed_off++); }, options).estimate;
+  return RelativeOverheadPercent(on, off);
+}
+
 }  // namespace
 
 std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
@@ -215,53 +225,31 @@ std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
     const HostConfig host_off = HostConfig::AllOff();
 
     // LEBench-like guest.
-    {
-      uint64_t seed_on = 100;
-      uint64_t seed_off = 5100;
-      const Estimate on = SampleUntilConverged(
-                              [&] { return RunGuestLeBenchLike(cpu, host_on, seed_on++); },
-                              options)
-                              .estimate;
-      const Estimate off = SampleUntilConverged(
-                               [&] { return RunGuestLeBenchLike(cpu, host_off, seed_off++); },
-                               options)
-                               .estimate;
-      VmWorkloadResult r;
-      r.cpu = UarchName(u);
-      r.workload = "lebench-in-vm";
-      r.overhead_pct = RelativeOverheadPercent(on, off);
-      results.push_back(r);
-    }
+    VmWorkloadResult guest;
+    guest.cpu = UarchName(u);
+    guest.workload = "lebench-in-vm";
+    guest.overhead_pct = HostOverheadPct(
+        [&](bool on, uint64_t seed) {
+          return RunGuestLeBenchLike(cpu, on ? host_on : host_off, seed);
+        },
+        100, 5100, options);
+    results.push_back(guest);
 
     // LFS smallfile / largefile against the emulated disk.
     for (const std::string& name : Lfs::KernelNames()) {
-      uint64_t seed_on = 200;
-      uint64_t seed_off = 7200;
-      uint64_t exits = 0;
-      const Estimate on =
-          SampleUntilConverged(
-              [&] {
-                const LfsResult lfs = Lfs::RunKernel(name, cpu, MitigationConfig::Defaults(cpu),
-                                                     host_on, seed_on++);
-                exits = lfs.vm_exits;
-                return lfs.cycles;
-              },
-              options)
-              .estimate;
-      const Estimate off =
-          SampleUntilConverged(
-              [&] {
-                return Lfs::RunKernel(name, cpu, MitigationConfig::Defaults(cpu), host_off,
-                                      seed_off++)
-                    .cycles;
-              },
-              options)
-              .estimate;
       VmWorkloadResult r;
       r.cpu = UarchName(u);
       r.workload = "lfs-" + name;
-      r.overhead_pct = RelativeOverheadPercent(on, off);
-      r.vm_exits_protected = exits;
+      r.overhead_pct = HostOverheadPct(
+          [&](bool on, uint64_t seed) {
+            const LfsResult lfs = Lfs::RunKernel(name, cpu, MitigationConfig::Defaults(cpu),
+                                                 on ? host_on : host_off, seed);
+            if (on) {
+              r.vm_exits_protected = lfs.vm_exits;
+            }
+            return lfs.cycles;
+          },
+          200, 7200, options);
       results.push_back(r);
     }
   }

@@ -8,7 +8,6 @@
 #include "src/difftest/reference.h"
 #include "src/jit/jit.h"
 #include "src/uarch/machine.h"
-#include "src/util/rng.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
 #include "src/workload/parsec.h"
@@ -68,29 +67,19 @@ Sweep BuildSection45Grid(const GridOptions& options) {
     for (const std::string& name : Parsec::KernelNames()) {
       sweep.Add(SweepCellKey{UarchName(u), "default-vs-off", name},
                 [u, name, sampler = options.sampler](uint64_t seed) {
+                  // A one-link chain: defaults, then mitigations=off.
                   const CpuModel& cpu = GetCpuModel(u);
-                  uint64_t stream = seed;
-                  uint64_t seed_def = SplitMix64Next(&stream);
-                  uint64_t seed_off = SplitMix64Next(&stream);
-                  const SampleResult def = SampleUntilConverged(
-                      [&] {
-                        return Parsec::RunKernel(name, cpu, MitigationConfig::Defaults(cpu),
-                                                 seed_def++);
+                  const MitigationConfig configs[] = {MitigationConfig::Defaults(cpu),
+                                                      MitigationConfig::AllOff()};
+                  const AttributionReport report = AttributeChain(
+                      cpu, name, {ChainLink{"defaults", "Default mitigations"}},
+                      [&](size_t index, uint64_t sample_seed) {
+                        return Parsec::RunKernel(name, cpu, configs[index], sample_seed);
                       },
-                      sampler);
-                  const SampleResult off = SampleUntilConverged(
-                      [&] {
-                        return Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(),
-                                                 seed_off++);
-                      },
-                      sampler);
-                  CellOutput out;
-                  out.metrics.push_back(
-                      CellMetric{"total", "Default-mitigation overhead",
-                                 RelativeOverheadPercent(def.estimate, off.estimate)});
-                  out.samples = def.samples + off.samples;
-                  out.converged = def.converged && off.converged;
-                  out.saw_non_finite = def.saw_non_finite() || off.saw_non_finite();
+                      /*lower_is_better=*/true, sampler, seed);
+                  CellOutput out = CellOutputFromAttribution(report);
+                  out.metrics = {CellMetric{"total", "Default-mitigation overhead",
+                                            report.total_overhead_pct}};
                   return out;
                 });
     }

@@ -198,13 +198,4 @@ double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
   return ApplyNoise(cycles, seed ^ std::hash<std::string>{}(name), 0.004);
 }
 
-std::map<std::string, double> Parsec::RunSuite(const CpuModel& cpu,
-                                               const MitigationConfig& config, uint64_t seed) {
-  std::map<std::string, double> results;
-  for (const std::string& name : KernelNames()) {
-    results[name] = RunKernel(name, cpu, config, seed);
-  }
-  return results;
-}
-
 }  // namespace specbench

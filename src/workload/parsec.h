@@ -15,7 +15,6 @@
 #ifndef SPECTREBENCH_SRC_WORKLOAD_PARSEC_H_
 #define SPECTREBENCH_SRC_WORKLOAD_PARSEC_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ class Parsec {
   // cycles (lower is better), with seeded noise.
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const MitigationConfig& config, uint64_t seed);
-
-  static std::map<std::string, double> RunSuite(const CpuModel& cpu,
-                                                const MitigationConfig& config, uint64_t seed);
 };
 
 }  // namespace specbench

@@ -1,6 +1,9 @@
 // The attribution harness and experiment drivers: the paper's contribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/attribution.h"
 #include "src/core/experiments.h"
 #include "src/core/microbench.h"
@@ -64,6 +67,46 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
   EXPECT_NEAR(report.segments[0].overhead_pct.value, (135.0 / 115.0 - 1.0) * 100.0, 0.3);
   EXPECT_EQ(report.segments[1].id, "mds");
   EXPECT_NEAR(report.segments[1].overhead_pct.value, (115.0 / 105.0 - 1.0) * 100.0, 0.3);
+
+  // A higher-is-better chain: each link disabled raises the score, and
+  // segment i is (s_{i+1} / s_i - 1) * 100. Noise-free scores make every
+  // configuration's estimate exact.
+  const double scores[] = {50.0, 60.0, 66.0, 99.0};
+  const std::vector<ChainLink> links = {{"a", "A"}, {"b", "B"}, {"c", "C"}};
+  size_t measured_configs = 0;
+  const AttributionReport chain = AttributeChain(
+      cpu, "scores", links,
+      [&](size_t index, uint64_t) {
+        measured_configs = std::max(measured_configs, index + 1);
+        return scores[index];
+      },
+      /*lower_is_better=*/false, FastSampler());
+  EXPECT_EQ(measured_configs, 4u);
+  ASSERT_EQ(chain.segments.size(), 3u);
+  for (size_t i = 0; i < links.size(); i++) {
+    EXPECT_EQ(chain.segments[i].id, links[i].id);
+    EXPECT_EQ(chain.segments[i].label, links[i].label);
+    EXPECT_NEAR(chain.segments[i].overhead_pct.value, (scores[i + 1] / scores[i] - 1.0) * 100.0,
+                1e-9);
+  }
+  EXPECT_NEAR(chain.total_overhead_pct.value, (99.0 / 50.0 - 1.0) * 100.0, 1e-9);
+  EXPECT_TRUE(chain.converged);
+
+  // A chain with no links samples only the first configuration: no
+  // segments, and a total of exactly zero.
+  size_t calls = 0;
+  const AttributionReport empty = AttributeChain(
+      cpu, "empty", {},
+      [&](size_t index, uint64_t) {
+        EXPECT_EQ(index, 0u);
+        calls++;
+        return 42.0;
+      },
+      /*lower_is_better=*/true, FastSampler());
+  EXPECT_TRUE(empty.segments.empty());
+  EXPECT_EQ(empty.total_overhead_pct.value, 0.0);
+  EXPECT_EQ(empty.total_samples, calls);
+  EXPECT_GT(calls, 0u);
 }
 
 TEST(Attribution, SegmentsRoughlySumToTotal) {

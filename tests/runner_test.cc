@@ -241,23 +241,25 @@ TEST(Sweep, GeomeanRollup) {
   EXPECT_NEAR(rollups[0].geomean_pct, (std::sqrt(1.10 * 1.21) - 1.0) * 100.0, 1e-9);
 }
 
-// End-to-end: a real paper grid (§4.5 PARSEC, trimmed to two CPUs with a
-// fast sampler) must emit byte-identical JSON at every job count.
+// End-to-end: real paper grids (§4.5 PARSEC and the Figure 3 browser
+// chain, trimmed to two CPUs with a fast sampler) must emit byte-identical
+// JSON at every job count.
 TEST(Sweep, RealGridDeterministicAcrossJobCounts) {
   GridOptions grid;
   grid.sampler.min_samples = 3;
   grid.sampler.max_samples = 5;
   grid.sampler.target_relative_ci = 0.05;
   grid.cpus = {Uarch::kSkylakeClient, Uarch::kZen3};
-  const Sweep sweep = BuildSection45Grid(grid);
-  ASSERT_GT(sweep.size(), 0u);
-  RunnerOptions serial;
-  serial.jobs = 1;
-  const std::string reference = sweep.Run(serial).ToJson();
-  for (int jobs : {4, 16}) {
-    RunnerOptions options;
-    options.jobs = jobs;
-    EXPECT_EQ(sweep.Run(options).ToJson(), reference) << "jobs=" << jobs;
+  for (const Sweep& sweep : {BuildSection45Grid(grid), BuildFigure3Grid(grid)}) {
+    ASSERT_GT(sweep.size(), 0u);
+    RunnerOptions serial;
+    serial.jobs = 1;
+    const std::string reference = sweep.Run(serial).ToJson();
+    for (int jobs : {4, 16}) {
+      RunnerOptions options;
+      options.jobs = jobs;
+      EXPECT_EQ(sweep.Run(options).ToJson(), reference) << "jobs=" << jobs;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #   * tests/golden/counters.json          — cause-attribution counter matrix
 #   * tests/golden/analyze.json           — analyze-report fixture
 #   * tests/golden/sweep.json / sweep.csv — sweep emitter fixtures
+#   * tests/golden/{fig2_fast,fig3,sec44,sec45}.txt — rendered figures
 #
 # Every generator is byte-deterministic for any --jobs, so the script runs
 # them at full parallelism and the output is still reproducible.
@@ -31,7 +32,7 @@ fi
 
 cmake --build "${build_dir}" -j \
   --target spectrebench pareto_golden_test counters_golden_test \
-           analyze_golden_test runner_test difftest_test
+           analyze_golden_test runner_test difftest_test figures_golden_test
 
 cd "${repo_root}"
 
@@ -54,12 +55,16 @@ echo "== sweep.json / sweep.csv =="
 SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/runner_test" \
   --gtest_filter='SweepEmitters.*'
 
+echo "== rendered figures =="
+SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/figures_golden_test"
+
 echo "== verify: everything agrees with the refreshed fixtures =="
 "${build_dir}/tests/difftest_test" --gtest_filter='Corpus.ArchHashesMatchTheGoldenFile'
 "${build_dir}/tests/pareto_golden_test"
 "${build_dir}/tests/counters_golden_test"
 "${build_dir}/tests/analyze_golden_test"
 "${build_dir}/tests/runner_test" --gtest_filter='SweepEmitters.*'
+"${build_dir}/tests/figures_golden_test"
 
 echo "regen_goldens: done — review the diff under tests/golden/"
 git -C "${repo_root}" --no-pager diff --stat -- tests/golden || true
