@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "src/attack/attacks.h"
 #include "src/attack/speculation_probe.h"
@@ -175,9 +176,10 @@ namespace {
 
 // Guest workload for the LEBench-in-VM experiment: a syscall-heavy loop with
 // an occasional device interaction (the timer/virtio activity real guests
-// have), so host mitigations act only on the rare exits.
-double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t seed) {
-  MitigationConfig guest_config = MitigationConfig::Defaults(cpu);
+// have), so host mitigations act only on the rare exits. Returns exact
+// (unnoised) cycles.
+double SimulateGuestLeBenchLike(const CpuModel& cpu, const MitigationConfig& guest_config,
+                                const HostConfig& host) {
   Kernel kernel(cpu, guest_config);
   Hypervisor hv(kernel, host);
   ProgramBuilder& b = kernel.builder();
@@ -200,8 +202,16 @@ double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t
   b.BranchNz(3, outer);
   b.Halt();
   kernel.Finalize();
-  const auto result = kernel.Run("guest_main");
-  return ApplyNoise(static_cast<double>(result.cycles), seed, 0.012);
+  return static_cast<double>(kernel.Run("guest_main").cycles);
+}
+
+double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t seed) {
+  static ExactResultMemo<std::pair<MitigationConfig, HostConfig>, double> memo;
+  const MitigationConfig guest_config = MitigationConfig::Defaults(cpu);
+  const double cycles = memo.Get(cpu, {guest_config, host}, [&] {
+    return SimulateGuestLeBenchLike(cpu, guest_config, host);
+  });
+  return ApplyNoise(cycles, seed, 0.012);
 }
 
 // Samples `run` with host mitigations on, then off, each side from its own

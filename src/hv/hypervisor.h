@@ -12,6 +12,7 @@
 #ifndef SPECTREBENCH_SRC_HV_HYPERVISOR_H_
 #define SPECTREBENCH_SRC_HV_HYPERVISOR_H_
 
+#include <compare>
 #include <cstdint>
 
 #include "src/os/kernel.h"
@@ -29,6 +30,8 @@ struct HostConfig {
   // buffers iff MDS-vulnerable (mirrors KVM defaults).
   static HostConfig Defaults(const CpuModel& cpu);
   static HostConfig AllOff();
+
+  auto operator<=>(const HostConfig&) const = default;
 };
 
 // The guest syscall the hypervisor installs for emulated disk I/O:

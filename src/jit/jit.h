@@ -20,6 +20,7 @@
 #ifndef SPECTREBENCH_SRC_JIT_JIT_H_
 #define SPECTREBENCH_SRC_JIT_JIT_H_
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +43,8 @@ struct JitConfig {
   static JitConfig AllOn() { return JitConfig{}; }
   static JitConfig AllOff() { return JitConfig{false, false, false, false}; }
   static JitConfig SlhOnly() { return JitConfig{false, false, false, true}; }
+
+  auto operator<=>(const JitConfig&) const = default;
 };
 
 // The poison constant XOR-ed into stored heap pointers when pointer

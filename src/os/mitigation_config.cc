@@ -90,14 +90,19 @@ bool MitigationConfig::MitigatesSpectreV2Kernel(const CpuModel& cpu) const {
 std::string MitigationConfig::Describe() const {
   std::ostringstream out;
   out << "pti=" << (pti ? "on" : "off")
+      << " pcid=" << (pcid ? "on" : "off")
       << " mds=" << (mds_clear_buffers ? "clear" : "off")
+      << " nosmt=" << (smt_off ? "on" : "off")
       << " retpoline=" << RetpolineModeName(retpoline)
       << " ibrs=" << IbrsModeName(ibrs)
       << " ibpb=" << (ibpb_on_context_switch ? "on" : "off")
       << " rsb_stuff=" << (rsb_stuff_on_context_switch ? "on" : "off")
       << " v1=" << (kernel_index_masking ? "on" : "off")
+      << " swapgs_lfence=" << (lfence_after_swapgs ? "on" : "off")
+      << " eager_fpu=" << (eager_fpu ? "on" : "off")
       << " ssbd=" << SsbdModeName(ssbd)
       << " l1tf=" << (l1tf_pte_inversion ? "on" : "off")
+      << " l1d_flush=" << (l1d_flush_on_vmentry ? "on" : "off")
       << " stibp=" << (stibp ? "on" : "off")
       << " coresched=" << (core_scheduling ? "on" : "off");
   return out.str();

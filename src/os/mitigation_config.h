@@ -8,6 +8,7 @@
 #ifndef SPECTREBENCH_SRC_OS_MITIGATION_CONFIG_H_
 #define SPECTREBENCH_SRC_OS_MITIGATION_CONFIG_H_
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,11 @@ struct MitigationConfig {
   bool MitigatesMds(const CpuModel& cpu) const;
   bool MitigatesSpectreV2Kernel(const CpuModel& cpu) const;
 
-  // One-line summary for logs.
+  // One-line summary for logs; names every field.
   std::string Describe() const;
+
+  // Field-by-field order, so every field is part of a memo key.
+  auto operator<=>(const MitigationConfig&) const = default;
 };
 
 // Applies Linux-style boot parameter tokens to a config, e.g. {"nopti",

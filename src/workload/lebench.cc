@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/os/kernel.h"
 #include "src/stats/summary.h"
@@ -151,21 +152,10 @@ KernelSpec SpecFor(const std::string& name) {
   return spec;
 }
 
-}  // namespace
-
-const std::vector<std::string>& LeBench::KernelNames() {
-  static const std::vector<std::string> kNames = {
-      "getpid",      "context-switch", "small-read",    "big-read",
-      "huge-read",   "small-write",    "big-write",     "mmap",
-      "munmap",      "page-fault",     "fork",          "thread-create",
-      "send-recv",   "select",
-  };
-  return kNames;
-}
-
-double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
-                          const MitigationConfig& config, uint64_t seed,
-                          CycleAttribution* attribution) {
+// Runs one kernel on a fresh simulated kernel; returns exact (unnoised)
+// cycles per operation. See LeBench::RunKernel for `attribution`.
+double SimulateKernel(const std::string& name, const CpuModel& cpu,
+                      const MitigationConfig& config, CycleAttribution* attribution) {
   const KernelSpec spec = SpecFor(name);
   Kernel kernel(cpu, config);
   Process* partner = nullptr;
@@ -192,7 +182,31 @@ double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
   const uint64_t t0 = m.PeekData(static_cast<uint64_t>(kT0Slot));
   const uint64_t t1 = m.PeekData(static_cast<uint64_t>(kT1Slot));
   SPECBENCH_CHECK(t1 > t0);
-  const double per_op = static_cast<double>(t1 - t0) / spec.iterations;
+  return static_cast<double>(t1 - t0) / spec.iterations;
+}
+
+}  // namespace
+
+const std::vector<std::string>& LeBench::KernelNames() {
+  static const std::vector<std::string> kNames = {
+      "getpid",      "context-switch", "small-read",    "big-read",
+      "huge-read",   "small-write",    "big-write",     "mmap",
+      "munmap",      "page-fault",     "fork",          "thread-create",
+      "send-recv",   "select",
+  };
+  return kNames;
+}
+
+double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
+                          const MitigationConfig& config, uint64_t seed,
+                          CycleAttribution* attribution) {
+  static ExactResultMemo<std::pair<std::string, MitigationConfig>, double> memo;
+  // A sink needs the event stream, so it always gets a fresh run.
+  const double per_op =
+      attribution != nullptr
+          ? SimulateKernel(name, cpu, config, attribution)
+          : memo.Get(cpu, {name, config},
+                     [&] { return SimulateKernel(name, cpu, config, nullptr); });
   return ApplyNoise(per_op, seed ^ std::hash<std::string>{}(name));
 }
 

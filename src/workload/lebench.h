@@ -5,7 +5,8 @@
 // swaps, verw, retpolines/IBRS, IBPB + RSB stuffing on context switch,
 // lfence-after-swapgs, index masking) is paid exactly where Linux pays it.
 // The suite score is the geometric mean of per-op cycle costs, matching the
-// paper's aggregation.
+// paper's aggregation. Each (kernel, CPU, config) is simulated once per
+// process; repeats re-noise the memoized exact cost (see measurement.h).
 #ifndef SPECTREBENCH_SRC_WORKLOAD_LEBENCH_H_
 #define SPECTREBENCH_SRC_WORKLOAD_LEBENCH_H_
 
@@ -23,12 +24,14 @@ class LeBench {
   // The kernels in the suite, in reporting order.
   static const std::vector<std::string>& KernelNames();
 
-  // Runs one named kernel on a fresh simulated kernel with `config` and
-  // returns average cycles per operation (lower is better), with seeded
-  // measurement noise. If `attribution` is non-null it is reset, attached to
-  // the machine's event bus for the run, and left holding the measurement
-  // window (the kernels bracket the timed loop with lfence+rdtsc, so
-  // WindowTotalCycles() is exactly the unnoised t1 - t0).
+  // Returns average cycles per operation (lower is better) of one named
+  // kernel under `config`, with seeded measurement noise. The kernel runs on
+  // a fresh simulated kernel once per (name, CPU, config); later calls
+  // re-noise the memoized exact value. If `attribution` is non-null the call
+  // always simulates: the sink is reset, attached to the machine's event bus
+  // for the run, and left holding the measurement window (the kernels
+  // bracket the timed loop with lfence+rdtsc, so WindowTotalCycles() is
+  // exactly the unnoised t1 - t0).
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const MitigationConfig& config, uint64_t seed,
                           CycleAttribution* attribution = nullptr);

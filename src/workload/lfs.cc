@@ -1,6 +1,7 @@
 #include "src/workload/lfs.h"
 
 #include <functional>
+#include <tuple>
 
 #include "src/util/check.h"
 #include "src/workload/measurement.h"
@@ -59,16 +60,9 @@ void EmitLargefile(Kernel& kernel, ProgramBuilder& b) {
   b.Halt();
 }
 
-}  // namespace
-
-const std::vector<std::string>& Lfs::KernelNames() {
-  static const std::vector<std::string> kNames = {"smallfile", "largefile"};
-  return kNames;
-}
-
-LfsResult Lfs::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const MitigationConfig& guest_config, const HostConfig& host_config,
-                         uint64_t seed) {
+// Runs one kernel in a fresh guest; returns exact (unnoised) cycles.
+LfsResult SimulateKernel(const std::string& name, const CpuModel& cpu,
+                         const MitigationConfig& guest_config, const HostConfig& host_config) {
   Kernel kernel(cpu, guest_config);
   Hypervisor hv(kernel, host_config);
   ProgramBuilder& b = kernel.builder();
@@ -83,9 +77,26 @@ LfsResult Lfs::RunKernel(const std::string& name, const CpuModel& cpu,
   kernel.Finalize();
   const auto run = kernel.Run("guest_main");
   LfsResult result;
-  result.cycles = ApplyNoise(static_cast<double>(run.cycles),
-                             seed ^ std::hash<std::string>{}(name));
+  result.cycles = static_cast<double>(run.cycles);
   result.vm_exits = hv.vm_exits();
+  return result;
+}
+
+}  // namespace
+
+const std::vector<std::string>& Lfs::KernelNames() {
+  static const std::vector<std::string> kNames = {"smallfile", "largefile"};
+  return kNames;
+}
+
+LfsResult Lfs::RunKernel(const std::string& name, const CpuModel& cpu,
+                         const MitigationConfig& guest_config, const HostConfig& host_config,
+                         uint64_t seed) {
+  static ExactResultMemo<std::tuple<std::string, MitigationConfig, HostConfig>, LfsResult> memo;
+  LfsResult result = memo.Get(cpu, {name, guest_config, host_config}, [&] {
+    return SimulateKernel(name, cpu, guest_config, host_config);
+  });
+  result.cycles = ApplyNoise(result.cycles, seed ^ std::hash<std::string>{}(name));
   return result;
 }
 

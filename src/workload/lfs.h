@@ -27,6 +27,9 @@ class Lfs {
  public:
   static const std::vector<std::string>& KernelNames();  // {smallfile, largefile}
 
+  // Runs one kernel in a guest under `host_config`; `cycles` carries seeded
+  // noise, `vm_exits` is exact. Simulated once per (name, CPU, guest config,
+  // host config), like LeBench::RunKernel.
   static LfsResult RunKernel(const std::string& name, const CpuModel& cpu,
                              const MitigationConfig& guest_config,
                              const HostConfig& host_config, uint64_t seed);

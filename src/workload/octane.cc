@@ -1,6 +1,7 @@
 #include "src/workload/octane.h"
 
 #include <functional>
+#include <tuple>
 
 #include "src/os/kernel.h"
 #include "src/stats/summary.h"
@@ -295,19 +296,10 @@ OctaneKernel KernelFor(const std::string& name) {
   SPECBENCH_CHECK_MSG(false, "unknown Octane kernel name");
 }
 
-}  // namespace
-
-const std::vector<std::string>& Octane::KernelNames() {
-  static const std::vector<std::string> kNames = {
-      "richards", "deltablue", "crypto", "raytrace",
-      "splay",    "navier-stokes", "pdfjs", "regexp",
-  };
-  return kNames;
-}
-
-double Octane::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const JitConfig& jit_config, const MitigationConfig& os_config,
-                         uint64_t seed, CycleAttribution* attribution) {
+// Runs one kernel in a fresh sandboxed process; returns the exact (unnoised)
+// score. See Octane::RunKernel for `attribution`.
+double SimulateKernel(const std::string& name, const CpuModel& cpu, const JitConfig& jit_config,
+                      const MitigationConfig& os_config, CycleAttribution* attribution) {
   const OctaneKernel spec = KernelFor(name);
   Kernel kernel(cpu, os_config);
   // The browser is a seccomp-sandboxed process: the kernel's SSBD policy
@@ -362,7 +354,30 @@ double Octane::RunKernel(const std::string& name, const CpuModel& cpu,
   const uint64_t t1 = m.PeekData(static_cast<uint64_t>(kT1Slot));
   SPECBENCH_CHECK(t1 > t0);
   const double cycles_per_iter = static_cast<double>(t1 - t0) / spec.iterations;
-  const double score = 1.0e6 / cycles_per_iter;
+  return 1.0e6 / cycles_per_iter;
+}
+
+}  // namespace
+
+const std::vector<std::string>& Octane::KernelNames() {
+  static const std::vector<std::string> kNames = {
+      "richards", "deltablue", "crypto", "raytrace",
+      "splay",    "navier-stokes", "pdfjs", "regexp",
+  };
+  return kNames;
+}
+
+double Octane::RunKernel(const std::string& name, const CpuModel& cpu,
+                         const JitConfig& jit_config, const MitigationConfig& os_config,
+                         uint64_t seed, CycleAttribution* attribution) {
+  static ExactResultMemo<std::tuple<std::string, JitConfig, MitigationConfig>, double> memo;
+  // A sink needs the event stream, so it always gets a fresh run.
+  const double score =
+      attribution != nullptr
+          ? SimulateKernel(name, cpu, jit_config, os_config, attribution)
+          : memo.Get(cpu, {name, jit_config, os_config}, [&] {
+              return SimulateKernel(name, cpu, jit_config, os_config, nullptr);
+            });
   return ApplyNoise(score, seed ^ std::hash<std::string>{}(name));
 }
 

@@ -27,8 +27,10 @@ class Octane {
 
   // Runs one kernel; returns an Octane-style score (higher is better,
   // inversely proportional to cycles per iteration), with seeded noise.
-  // If `attribution` is non-null it is reset, attached for the run, and left
-  // holding the lfence+rdtsc measurement window (see LeBench::RunKernel).
+  // Simulated once per (name, CPU, configs), like LeBench::RunKernel. If
+  // `attribution` is non-null the call always simulates: the sink is reset,
+  // attached for the run, and left holding the lfence+rdtsc measurement
+  // window (see LeBench::RunKernel).
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const JitConfig& jit_config, const MitigationConfig& os_config,
                           uint64_t seed, CycleAttribution* attribution = nullptr);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "src/os/kernel.h"
@@ -119,21 +117,9 @@ void EmitKernelByName(const std::string& name, ProgramBuilder& b) {
 // nosmt — 1.0 when the siblings were contention-bound anyway (no SMT yield
 // to lose), 2.0 at perfect overlap. Measured on the raw machine with the
 // kernel body alone: the charge is a property of the instruction mix on the
-// core, not of the syscall-path mitigations, which keeps the cache below
-// independent of which sweep cell computes it first (byte-determinism for
-// any --jobs).
-double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
-  static std::mutex mu;
-  static std::map<std::pair<int, std::string>, double> cache;
-  const std::pair<int, std::string> key{static_cast<int>(cpu.uarch), name};
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      return it->second;
-    }
-  }
-
+// core, not of the syscall-path mitigations, so it is memoized per (CPU,
+// kernel) across every config that turns nosmt on.
+double MeasureNosmtCharge(const std::string& name, const CpuModel& cpu) {
   ProgramBuilder b;
   b.BindSymbol("user_main");
   EmitKernelByName(name, b);
@@ -159,21 +145,12 @@ double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
 
   const double t_solo = static_cast<double>(solo_result.cycles);
   const double t_co = static_cast<double>(co_result.cycles);
-  const double charge = std::clamp(2.0 * t_solo / t_co, 1.0, 2.0);
-  std::lock_guard<std::mutex> lock(mu);
-  cache.emplace(key, charge);
-  return charge;
+  return std::clamp(2.0 * t_solo / t_co, 1.0, 2.0);
 }
 
-}  // namespace
-
-const std::vector<std::string>& Parsec::KernelNames() {
-  static const std::vector<std::string> kNames = {"swaptions", "facesim", "bodytrack"};
-  return kNames;
-}
-
-double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const MitigationConfig& config, uint64_t seed) {
+// Runs one kernel in a fresh process; returns exact (unnoised) cycles.
+double SimulateKernel(const std::string& name, const CpuModel& cpu,
+                      const MitigationConfig& config) {
   Kernel kernel(cpu, config);
   ProgramBuilder& b = kernel.builder();
   b.BindSymbol("user_main");
@@ -190,11 +167,27 @@ double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
   // nosmt: the PARSEC suite is the multithreaded half of the study — with
   // the sibling thread disabled, each core retires one stream instead of
   // two overlapping ones. Charge the *measured* co-run throughput from
-  // RunCoResident (see MeasuredNosmtCharge) on parts that have SMT to
+  // RunCoResident (see MeasureNosmtCharge) on parts that have SMT to
   // lose; single-stream LEBench/Octane latency is unaffected.
   if (config.smt_off && cpu.smt) {
-    cycles *= MeasuredNosmtCharge(name, cpu);
+    static ExactResultMemo<std::string, double> charges;
+    cycles *= charges.Get(cpu, name, [&] { return MeasureNosmtCharge(name, cpu); });
   }
+  return cycles;
+}
+
+}  // namespace
+
+const std::vector<std::string>& Parsec::KernelNames() {
+  static const std::vector<std::string> kNames = {"swaptions", "facesim", "bodytrack"};
+  return kNames;
+}
+
+double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
+                         const MitigationConfig& config, uint64_t seed) {
+  static ExactResultMemo<std::pair<std::string, MitigationConfig>, double> memo;
+  const double cycles =
+      memo.Get(cpu, {name, config}, [&] { return SimulateKernel(name, cpu, config); });
   return ApplyNoise(cycles, seed ^ std::hash<std::string>{}(name), 0.004);
 }
 

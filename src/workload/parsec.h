@@ -27,7 +27,8 @@ class Parsec {
   static const std::vector<std::string>& KernelNames();
 
   // Runs one kernel to completion under `config`; returns total runtime in
-  // cycles (lower is better), with seeded noise.
+  // cycles (lower is better), with seeded noise. Simulated once per (name,
+  // CPU, config), like LeBench::RunKernel.
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const MitigationConfig& config, uint64_t seed);
 };

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/os/mitigation_config.h"
 
 namespace specbench {
@@ -131,18 +134,66 @@ TEST(Names, EnumToString) {
 }
 
 TEST(Describe, ListsEveryKnobOnEveryTable1DefaultSet) {
-  // Describe() is the config's identity for logs and golden files: it must
-  // name every knob it covers (pcid/eager_fpu/smt_off are deliberately
-  // omitted — they don't vary across Table 1 rows) and must distinguish the
-  // default set from mitigations=off on every CPU.
+  // Describe() is the config's identity for logs: it must name every knob
+  // and must distinguish the default set from mitigations=off on every CPU.
   const std::string all_off = MitigationConfig::AllOff().Describe();
   for (Uarch u : AllUarches()) {
     const std::string s = MitigationConfig::Defaults(GetCpuModel(u)).Describe();
-    for (const char* key : {"pti=", "mds=", "retpoline=", "ibrs=", "ibpb=", "rsb_stuff=",
-                            "v1=", "ssbd=", "l1tf=", "stibp=", "coresched="}) {
+    for (const char* key : {"pti=", "pcid=", "mds=", "nosmt=", "retpoline=", "ibrs=", "ibpb=",
+                            "rsb_stuff=", "v1=", "swapgs_lfence=", "eager_fpu=", "ssbd=",
+                            "l1tf=", "l1d_flush=", "stibp=", "coresched="}) {
       EXPECT_NE(s.find(key), std::string::npos) << UarchName(u) << ": " << s;
     }
     EXPECT_NE(s, all_off) << UarchName(u);
+  }
+}
+
+// Two configs that differ in one field must print differently, or a log
+// line (or anything keyed on Describe()) would alias them. One mutator per
+// MitigationConfig field; a new field needs a new line here.
+TEST(Describe, FlippingAnySingleFieldChangesTheSummary) {
+  const std::vector<std::pair<const char*, void (*)(MitigationConfig&)>> flips = {
+      {"pti", [](MitigationConfig& c) { c.pti = !c.pti; }},
+      {"pcid", [](MitigationConfig& c) { c.pcid = !c.pcid; }},
+      {"mds_clear_buffers",
+       [](MitigationConfig& c) { c.mds_clear_buffers = !c.mds_clear_buffers; }},
+      {"smt_off", [](MitigationConfig& c) { c.smt_off = !c.smt_off; }},
+      {"retpoline",
+       [](MitigationConfig& c) {
+         c.retpoline = c.retpoline == RetpolineMode::kNone ? RetpolineMode::kGeneric
+                                                           : RetpolineMode::kNone;
+       }},
+      {"ibrs",
+       [](MitigationConfig& c) {
+         c.ibrs = c.ibrs == IbrsMode::kOff ? IbrsMode::kEibrs : IbrsMode::kOff;
+       }},
+      {"ibpb_on_context_switch",
+       [](MitigationConfig& c) { c.ibpb_on_context_switch = !c.ibpb_on_context_switch; }},
+      {"rsb_stuff_on_context_switch",
+       [](MitigationConfig& c) { c.rsb_stuff_on_context_switch = !c.rsb_stuff_on_context_switch; }},
+      {"stibp", [](MitigationConfig& c) { c.stibp = !c.stibp; }},
+      {"core_scheduling", [](MitigationConfig& c) { c.core_scheduling = !c.core_scheduling; }},
+      {"lfence_after_swapgs",
+       [](MitigationConfig& c) { c.lfence_after_swapgs = !c.lfence_after_swapgs; }},
+      {"kernel_index_masking",
+       [](MitigationConfig& c) { c.kernel_index_masking = !c.kernel_index_masking; }},
+      {"eager_fpu", [](MitigationConfig& c) { c.eager_fpu = !c.eager_fpu; }},
+      {"l1tf_pte_inversion",
+       [](MitigationConfig& c) { c.l1tf_pte_inversion = !c.l1tf_pte_inversion; }},
+      {"l1d_flush_on_vmentry",
+       [](MitigationConfig& c) { c.l1d_flush_on_vmentry = !c.l1d_flush_on_vmentry; }},
+      {"ssbd",
+       [](MitigationConfig& c) {
+         c.ssbd = c.ssbd == SsbdMode::kOff ? SsbdMode::kAlways : SsbdMode::kOff;
+       }},
+  };
+  for (const MitigationConfig& base :
+       {MitigationConfig::Defaults(GetCpuModel(Uarch::kBroadwell)), MitigationConfig::AllOff()}) {
+    for (const auto& [field, flip] : flips) {
+      MitigationConfig flipped = base;
+      flip(flipped);
+      EXPECT_NE(flipped.Describe(), base.Describe()) << field;
+    }
   }
 }
 

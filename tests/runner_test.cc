@@ -241,16 +241,18 @@ TEST(Sweep, GeomeanRollup) {
   EXPECT_NEAR(rollups[0].geomean_pct, (std::sqrt(1.10 * 1.21) - 1.0) * 100.0, 1e-9);
 }
 
-// End-to-end: real paper grids (§4.5 PARSEC and the Figure 3 browser
-// chain, trimmed to two CPUs with a fast sampler) must emit byte-identical
-// JSON at every job count.
+// End-to-end: real paper grids (§4.5 PARSEC, the Figure 3 browser chain and
+// the Figure 2 LEBench chain, trimmed to two CPUs with a fast sampler) must
+// emit byte-identical JSON at every job count. Concurrent cells share the
+// workloads' exact-result memos, so under TSan this also checks the memos.
 TEST(Sweep, RealGridDeterministicAcrossJobCounts) {
   GridOptions grid;
   grid.sampler.min_samples = 3;
   grid.sampler.max_samples = 5;
   grid.sampler.target_relative_ci = 0.05;
   grid.cpus = {Uarch::kSkylakeClient, Uarch::kZen3};
-  for (const Sweep& sweep : {BuildSection45Grid(grid), BuildFigure3Grid(grid)}) {
+  for (const Sweep& sweep :
+       {BuildSection45Grid(grid), BuildFigure3Grid(grid), BuildFigure2Grid(grid)}) {
     ASSERT_GT(sweep.size(), 0u);
     RunnerOptions serial;
     serial.jobs = 1;

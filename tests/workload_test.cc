@@ -2,6 +2,8 @@
 // overheads the paper's evaluation section builds on.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/workload/lebench.h"
 #include "src/workload/lfs.h"
 #include "src/workload/measurement.h"
@@ -256,6 +258,178 @@ TEST(LfsSuite, HostMitigationOverheadModest) {
     EXPECT_GE(overhead, -1.0) << name;
     EXPECT_LT(overhead, 25.0) << name;
   }
+}
+
+// --- The exact-result memo ------------------------------------------------
+//
+// Each workload simulates once per (kernel, CPU, configs) and re-noises the
+// memoized value. A copy of a catalog CpuModel is not the catalog entry, so
+// it always simulates fresh: the reference for "what a memo hit must equal".
+
+TEST(ExactResultMemo, HitsEqualFreshSimulationOnEveryWorkload) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const CpuModel fresh_cpu = cpu;
+  const MitigationConfig config = MitigationConfig::Defaults(cpu);
+  const JitConfig jit = JitConfig::AllOn();
+  const HostConfig host = HostConfig::Defaults(cpu);
+  for (uint64_t seed : {3, 4}) {
+    const double lebench = LeBench::RunKernel("getpid", fresh_cpu, config, seed);
+    const double octane = Octane::RunKernel("crypto", fresh_cpu, jit, config, seed);
+    const double parsec = Parsec::RunKernel("swaptions", fresh_cpu, config, seed);
+    const LfsResult lfs = Lfs::RunKernel("smallfile", fresh_cpu, config, host, seed);
+    for (int call = 0; call < 2; call++) {  // the second call is always a hit
+      EXPECT_EQ(LeBench::RunKernel("getpid", cpu, config, seed), lebench) << call;
+      EXPECT_EQ(Octane::RunKernel("crypto", cpu, jit, config, seed), octane) << call;
+      EXPECT_EQ(Parsec::RunKernel("swaptions", cpu, config, seed), parsec) << call;
+      const LfsResult hit = Lfs::RunKernel("smallfile", cpu, config, host, seed);
+      EXPECT_EQ(hit.cycles, lfs.cycles) << call;
+      EXPECT_EQ(hit.vm_exits, lfs.vm_exits) << call;
+    }
+  }
+}
+
+TEST(ExactResultMemo, NosmtChargeHitsEqualFreshSimulation) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  ASSERT_TRUE(cpu.smt);
+  const CpuModel fresh_cpu = cpu;
+  MitigationConfig nosmt = MitigationConfig::AllOff();
+  nosmt.smt_off = true;
+  const double fresh = Parsec::RunKernel("bodytrack", fresh_cpu, nosmt, 5);
+  EXPECT_EQ(Parsec::RunKernel("bodytrack", cpu, nosmt, 5), fresh);
+  EXPECT_EQ(Parsec::RunKernel("bodytrack", cpu, nosmt, 5), fresh);
+}
+
+TEST(ExactResultMemo, SimulatesOnMissesNonCatalogModelsAndPastTheCap) {
+  using Memo = ExactResultMemo<int, int>;
+  Memo memo;
+  const CpuModel& cpu = GetCpuModel(Uarch::kZen3);
+  const CpuModel copy = cpu;
+  int calls = 0;
+  const auto square = [&calls](int k) {
+    return [&calls, k] {
+      calls++;
+      return k * k;
+    };
+  };
+  constexpr int kCap = static_cast<int>(Memo::kMaxEntries);
+  for (int k = 0; k < kCap; k++) {
+    EXPECT_EQ(memo.Get(cpu, k, square(k)), k * k);
+  }
+  EXPECT_EQ(calls, kCap);
+  EXPECT_EQ(memo.Get(cpu, 7, square(7)), 49);  // hit
+  EXPECT_EQ(calls, kCap);
+  EXPECT_EQ(memo.Get(copy, 7, square(7)), 49);  // not the catalog entry
+  EXPECT_EQ(calls, kCap + 1);
+  for (int repeat = 0; repeat < 2; repeat++) {  // full: computed, not stored
+    EXPECT_EQ(memo.Get(cpu, kCap, square(kCap)), kCap * kCap);
+  }
+  EXPECT_EQ(calls, kCap + 3);
+}
+
+// FutureCpuModel() shares Ice Lake Server's uarch; keyed by uarch alone it
+// would be served Ice Lake Server's memo entry.
+TEST(ExactResultMemo, FutureCpuIsNeverServedTheIceLakeServerEntry) {
+  const CpuModel& ice = GetCpuModel(Uarch::kIceLakeServer);
+  const CpuModel& future = FutureCpuModel();
+  ASSERT_EQ(future.uarch, ice.uarch);
+  const CpuModel fresh_ice = ice;
+  const JitConfig jit = JitConfig::AllOn();
+  const MitigationConfig os = MitigationConfig::Defaults(ice);
+  const double ice_fresh = Octane::RunKernel("crypto", fresh_ice, jit, os, 7);
+  const double future_fresh = Octane::RunKernel("crypto", future, jit, os, 7);
+  ASSERT_NE(ice_fresh, future_fresh) << "pick a kernel the two models disagree on";
+  EXPECT_EQ(Octane::RunKernel("crypto", ice, jit, os, 7), ice_fresh);  // warms the memo
+  EXPECT_EQ(Octane::RunKernel("crypto", future, jit, os, 7), future_fresh);
+}
+
+// A CycleAttribution sink needs the event stream, so a call with one always
+// simulates, however warm the memo is.
+TEST(ExactResultMemo, AttributionSinkIsFilledAfterTheMemoIsWarm) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
+  const MitigationConfig config = MitigationConfig::Defaults(cpu);
+  const JitConfig jit = JitConfig::AllOn();
+  CycleAttribution cold_lebench;
+  CycleAttribution cold_octane;
+  LeBench::RunKernel("small-read", cpu, config, 1, &cold_lebench);
+  Octane::RunKernel("richards", cpu, jit, config, 1, &cold_octane);
+  ASSERT_TRUE(cold_lebench.HasWindow());
+  ASSERT_TRUE(cold_octane.HasWindow());
+  ASSERT_GT(cold_lebench.WindowTotalCycles(), 0u);
+  ASSERT_GT(cold_octane.WindowTotalCycles(), 0u);
+
+  const double lebench = LeBench::RunKernel("small-read", cpu, config, 1);
+  const double octane = Octane::RunKernel("richards", cpu, jit, config, 1);
+  CycleAttribution warm_lebench;
+  CycleAttribution warm_octane;
+  EXPECT_EQ(LeBench::RunKernel("small-read", cpu, config, 1, &warm_lebench), lebench);
+  EXPECT_EQ(Octane::RunKernel("richards", cpu, jit, config, 1, &warm_octane), octane);
+  ASSERT_TRUE(warm_lebench.HasWindow());
+  ASSERT_TRUE(warm_octane.HasWindow());
+  EXPECT_EQ(warm_lebench.WindowTotalCycles(), cold_lebench.WindowTotalCycles());
+  EXPECT_EQ(warm_octane.WindowTotalCycles(), cold_octane.WindowTotalCycles());
+}
+
+// The memo key orders configs field by field (defaulted operator<=>), so
+// configs differing in any one field are distinct keys. One mutator per
+// field; a new field needs a new line here.
+template <typename Config>
+void ExpectEveryFlipIsADistinctKey(const Config& base,
+                                   const std::vector<void (*)(Config&)>& flips) {
+  for (size_t i = 0; i < flips.size(); i++) {
+    Config flipped = base;
+    flips[i](flipped);
+    EXPECT_NE(flipped, base) << "field " << i;
+    EXPECT_TRUE(flipped < base || base < flipped) << "field " << i;
+  }
+}
+
+TEST(ExactResultMemo, FlippingAnySingleConfigFieldChangesTheKey) {
+  const std::vector<void (*)(MitigationConfig&)> os_flips = {
+      [](MitigationConfig& c) { c.pti = !c.pti; },
+      [](MitigationConfig& c) { c.pcid = !c.pcid; },
+      [](MitigationConfig& c) { c.mds_clear_buffers = !c.mds_clear_buffers; },
+      [](MitigationConfig& c) { c.smt_off = !c.smt_off; },
+      [](MitigationConfig& c) {
+        c.retpoline =
+            c.retpoline == RetpolineMode::kAmd ? RetpolineMode::kGeneric : RetpolineMode::kAmd;
+      },
+      [](MitigationConfig& c) {
+        c.ibrs = c.ibrs == IbrsMode::kLegacyIbrs ? IbrsMode::kEibrs : IbrsMode::kLegacyIbrs;
+      },
+      [](MitigationConfig& c) { c.ibpb_on_context_switch = !c.ibpb_on_context_switch; },
+      [](MitigationConfig& c) { c.rsb_stuff_on_context_switch = !c.rsb_stuff_on_context_switch; },
+      [](MitigationConfig& c) { c.stibp = !c.stibp; },
+      [](MitigationConfig& c) { c.core_scheduling = !c.core_scheduling; },
+      [](MitigationConfig& c) { c.lfence_after_swapgs = !c.lfence_after_swapgs; },
+      [](MitigationConfig& c) { c.kernel_index_masking = !c.kernel_index_masking; },
+      [](MitigationConfig& c) { c.eager_fpu = !c.eager_fpu; },
+      [](MitigationConfig& c) { c.l1tf_pte_inversion = !c.l1tf_pte_inversion; },
+      [](MitigationConfig& c) { c.l1d_flush_on_vmentry = !c.l1d_flush_on_vmentry; },
+      [](MitigationConfig& c) {
+        c.ssbd = c.ssbd == SsbdMode::kPrctl ? SsbdMode::kSeccomp : SsbdMode::kPrctl;
+      },
+  };
+  for (Uarch u : {Uarch::kBroadwell, Uarch::kZen3}) {
+    ExpectEveryFlipIsADistinctKey(MitigationConfig::Defaults(GetCpuModel(u)), os_flips);
+  }
+  ExpectEveryFlipIsADistinctKey(MitigationConfig::AllOff(), os_flips);
+
+  const std::vector<void (*)(JitConfig&)> jit_flips = {
+      [](JitConfig& c) { c.index_masking = !c.index_masking; },
+      [](JitConfig& c) { c.object_guards = !c.object_guards; },
+      [](JitConfig& c) { c.pointer_poisoning = !c.pointer_poisoning; },
+      [](JitConfig& c) { c.speculative_load_hardening = !c.speculative_load_hardening; },
+  };
+  for (const JitConfig& base : {JitConfig::AllOn(), JitConfig::AllOff(), JitConfig::SlhOnly()}) {
+    ExpectEveryFlipIsADistinctKey(base, jit_flips);
+  }
+
+  const std::vector<void (*)(HostConfig&)> host_flips = {
+      [](HostConfig& c) { c.l1d_flush_on_vmentry = !c.l1d_flush_on_vmentry; },
+      [](HostConfig& c) { c.mds_clear_on_vmentry = !c.mds_clear_on_vmentry; },
+  };
+  ExpectEveryFlipIsADistinctKey(HostConfig::AllOff(), host_flips);
+  ExpectEveryFlipIsADistinctKey(HostConfig::Defaults(GetCpuModel(Uarch::kBroadwell)), host_flips);
 }
 
 }  // namespace
