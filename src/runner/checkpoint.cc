@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "src/runner/seed.h"
+#include "src/util/decimal.h"
 
 namespace specbench {
 
@@ -102,21 +103,6 @@ bool ParseU64Hex(const std::string& text, uint64_t* out) {
   return true;
 }
 
-bool ParseU64Dec(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 std::vector<std::string> SplitTabs(const std::string& payload) {
   std::vector<std::string> fields;
   size_t start = 0;
@@ -145,9 +131,9 @@ bool ParseHeaderLine(const std::string& line, JournalHeader* header) {
   if (cells_at == std::string::npos) {
     return false;
   }
-  return ParseU64Dec(rest.substr(0, grid_at), &header->base_seed) &&
+  return ParseU64Strict(rest.substr(0, grid_at), &header->base_seed) &&
          ParseU64Hex(rest.substr(grid_at + 6, cells_at - grid_at - 6), &header->grid_digest) &&
-         ParseU64Dec(rest.substr(cells_at + 7), &header->total_cells);
+         ParseU64Strict(rest.substr(cells_at + 7), &header->total_cells);
 }
 
 }  // namespace
@@ -206,16 +192,17 @@ bool ParseCellRecord(const std::string& line, size_t* index, SweepCellResult* ce
   uint64_t non_finite = 0;
   uint64_t nmetrics = 0;
   SweepCellResult parsed;
-  if (!ParseU64Dec(fields[0], &index64) || !ParseU64Dec(fields[1], &parsed.seed) ||
+  if (!ParseU64Strict(fields[0], &index64) || !ParseU64Strict(fields[1], &parsed.seed) ||
       !Decode(fields[2], &parsed.key.cpu) || !Decode(fields[3], &parsed.key.config) ||
-      !Decode(fields[4], &parsed.key.workload) || !ParseU64Dec(fields[5], &samples) ||
-      !ParseU64Dec(fields[6], &converged) || converged > 1 ||
-      !ParseU64Dec(fields[7], &non_finite) || non_finite > 1 ||
-      !ParseU64Dec(fields[8], &nmetrics)) {
+      !Decode(fields[4], &parsed.key.workload) || !ParseU64Strict(fields[5], &samples) ||
+      !ParseU64Strict(fields[6], &converged) || converged > 1 ||
+      !ParseU64Strict(fields[7], &non_finite) || non_finite > 1 ||
+      !ParseU64Strict(fields[8], &nmetrics)) {
     *error = "malformed payload";
     return false;
   }
-  if (fields.size() != 9 + nmetrics * 4) {
+  // Divide rather than multiply: a huge count must not wrap into a match.
+  if ((fields.size() - 9) % 4 != 0 || (fields.size() - 9) / 4 != nmetrics) {
     *error = "metric count disagrees with payload";
     return false;
   }

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "src/runner/checkpoint.h"
@@ -15,120 +16,6 @@
 namespace specbench {
 
 namespace {
-
-// Percent-encoding for request-line values: keeps every value free of the
-// delimiters the line format uses (space between tokens, '=' inside a
-// token, ',' inside a list) so CPU names like "Skylake Client" round-trip.
-std::string EncodeValue(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (c == '%' || c == ' ' || c == '=' || c == ',' || u < 0x20) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", u);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-bool HexNibble(char c, unsigned* out) {
-  if (c >= '0' && c <= '9') {
-    *out = static_cast<unsigned>(c - '0');
-    return true;
-  }
-  if (c >= 'a' && c <= 'f') {
-    *out = static_cast<unsigned>(c - 'a' + 10);
-    return true;
-  }
-  if (c >= 'A' && c <= 'F') {
-    *out = static_cast<unsigned>(c - 'A' + 10);
-    return true;
-  }
-  return false;
-}
-
-bool DecodeValue(const std::string& s, std::string* out) {
-  out->clear();
-  out->reserve(s.size());
-  for (size_t i = 0; i < s.size(); i++) {
-    if (s[i] != '%') {
-      out->push_back(s[i]);
-      continue;
-    }
-    unsigned hi = 0;
-    unsigned lo = 0;
-    if (i + 2 >= s.size() || !HexNibble(s[i + 1], &hi) || !HexNibble(s[i + 2], &lo)) {
-      return false;
-    }
-    out->push_back(static_cast<char>((hi << 4) | lo));
-    i += 2;
-  }
-  return true;
-}
-
-bool ParseU64Strict(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    if (comma > start) {
-      items.push_back(csv.substr(start, comma - start));
-    }
-    start = comma + 1;
-  }
-  return items;
-}
-
-// Splits a csv of percent-encoded values, decoding each element.
-bool SplitEncodedList(const std::string& csv, std::vector<std::string>* out, std::string* error) {
-  out->clear();
-  for (const std::string& item : SplitList(csv)) {
-    std::string decoded;
-    if (!DecodeValue(item, &decoded)) {
-      *error = "bad percent-encoding in \"" + item + "\"";
-      return false;
-    }
-    out->push_back(decoded);
-  }
-  return true;
-}
-
-std::string JoinEncodedList(const std::vector<std::string>& items) {
-  std::string out;
-  for (size_t i = 0; i < items.size(); i++) {
-    if (i != 0) {
-      out.push_back(',');
-    }
-    out += EncodeValue(items[i]);
-  }
-  return out;
-}
 
 // send() the whole buffer; MSG_NOSIGNAL so a vanished client surfaces as an
 // error return instead of SIGPIPE killing the service.
@@ -147,16 +34,23 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-// Buffered newline-framed reader over a socket fd.
+// Buffered newline-framed reader over a socket fd. Lines are capped at
+// kMaxRequestLineBytes, so a peer that never sends '\n' cannot grow the
+// buffer without bound.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
   // Reads the next '\n'-terminated line (newline and any trailing '\r'
-  // stripped). Returns false on EOF or a socket error.
+  // stripped). Returns false on EOF, a socket error or an over-long line;
+  // too_long() tells the last apart.
   bool ReadLine(std::string* line) {
     for (;;) {
       const size_t newline = buf_.find('\n');
+      if ((newline == std::string::npos ? buf_.size() : newline) > kMaxRequestLineBytes) {
+        too_long_ = true;
+        return false;
+      }
       if (newline != std::string::npos) {
         *line = buf_.substr(0, newline);
         buf_.erase(0, newline + 1);
@@ -177,9 +71,12 @@ class LineReader {
     }
   }
 
+  bool too_long() const { return too_long_; }
+
  private:
   int fd_;
   std::string buf_;
+  bool too_long_ = false;
 };
 
 bool FillSockAddr(const std::string& path, sockaddr_un* addr, std::string* error) {
@@ -196,110 +93,6 @@ bool FillSockAddr(const std::string& path, sockaddr_un* addr, std::string* error
 
 }  // namespace
 
-bool ParseServiceRequest(const std::string& line, ServiceRequest* out, std::string* error) {
-  std::vector<std::string> tokens;
-  size_t start = 0;
-  while (start <= line.size()) {
-    size_t space = line.find(' ', start);
-    if (space == std::string::npos) {
-      space = line.size();
-    }
-    if (space > start) {
-      tokens.push_back(line.substr(start, space - start));
-    }
-    start = space + 1;
-  }
-  if (tokens.empty() || tokens[0] != "sweep") {
-    *error = "request must start with \"sweep\"";
-    return false;
-  }
-  ServiceRequest request;
-  for (size_t t = 1; t < tokens.size(); t++) {
-    const std::string& token = tokens[t];
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "token \"" + token + "\" is not key=value";
-      return false;
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "grids") {
-      request.grids = SplitList(value);
-      if (request.grids.empty()) {
-        *error = "grids= needs at least one grid name";
-        return false;
-      }
-    } else if (key == "cpus") {
-      if (!SplitEncodedList(value, &request.cpus, error)) {
-        return false;
-      }
-    } else if (key == "workloads") {
-      if (!SplitEncodedList(value, &request.workloads, error)) {
-        return false;
-      }
-    } else if (key == "configs") {
-      if (!SplitEncodedList(value, &request.configs, error)) {
-        return false;
-      }
-    } else if (key == "seed") {
-      if (!ParseU64Strict(value, &request.base_seed)) {
-        *error = "seed=\"" + value + "\" is not a decimal u64";
-        return false;
-      }
-    } else if (key == "seeds") {
-      const size_t colon = value.find(':');
-      if (colon == std::string::npos || !ParseU64Strict(value.substr(0, colon), &request.seed_begin) ||
-          !ParseU64Strict(value.substr(colon + 1), &request.seed_end) ||
-          request.seed_end < request.seed_begin) {
-        *error = "seeds=\"" + value + "\" is not BEGIN:END with BEGIN <= END";
-        return false;
-      }
-    } else if (key == "fast") {
-      if (value != "0" && value != "1") {
-        *error = "fast=\"" + value + "\" must be 0 or 1";
-        return false;
-      }
-      request.fast = value == "1";
-    } else if (key == "shard") {
-      std::string shard_error;
-      if (!ParseShardSpec(value, &request.shard, &shard_error)) {
-        *error = "shard=\"" + value + "\": " + shard_error;
-        return false;
-      }
-    } else {
-      *error = "unknown request key \"" + key + "\"";
-      return false;
-    }
-  }
-  *out = request;
-  return true;
-}
-
-std::string SerializeServiceRequest(const ServiceRequest& request) {
-  std::string line = "sweep grids=";
-  for (size_t i = 0; i < request.grids.size(); i++) {
-    if (i != 0) {
-      line.push_back(',');
-    }
-    line += request.grids[i];
-  }
-  line += " seeds=" + std::to_string(request.seed_begin) + ":" + std::to_string(request.seed_end);
-  line += " seed=" + std::to_string(request.base_seed);
-  line += " fast=" + std::string(request.fast ? "1" : "0");
-  line += " shard=" + std::to_string(request.shard.index) + "/" +
-          std::to_string(request.shard.count);
-  if (!request.cpus.empty()) {
-    line += " cpus=" + JoinEncodedList(request.cpus);
-  }
-  if (!request.workloads.empty()) {
-    line += " workloads=" + JoinEncodedList(request.workloads);
-  }
-  if (!request.configs.empty()) {
-    line += " configs=" + JoinEncodedList(request.configs);
-  }
-  return line;
-}
-
 SweepService::SweepService(ServiceOptions options, GridFactory factory)
     : options_(std::move(options)),
       factory_(std::move(factory)),
@@ -307,16 +100,7 @@ SweepService::SweepService(ServiceOptions options, GridFactory factory)
 
 SweepService::~SweepService() {
   RequestShutdown();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
+  WaitForConnections();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -370,18 +154,11 @@ void SweepService::Serve() {
       break;
     }
     conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Detached, so a finished connection frees its thread at once; the
+    // live-fd set is what Serve() and the destructor wait on.
+    std::thread([this, fd] { HandleConnection(fd); }).detach();
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
+  WaitForConnections();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -416,9 +193,18 @@ void SweepService::HandleConnection(int fd) {
       break;
     }
   }
+  if (reader.too_long()) {
+    SendAll(fd, "err request line too long\n");
+  }
   std::lock_guard<std::mutex> lock(conn_mu_);
   conn_fds_.erase(fd);
   ::close(fd);
+  conn_done_.notify_all();
+}
+
+void SweepService::WaitForConnections() {
+  std::unique_lock<std::mutex> lock(conn_mu_);
+  conn_done_.wait(lock, [this] { return conn_fds_.empty(); });
 }
 
 bool SweepService::HandleRequestLine(int fd, const std::string& line) {
@@ -430,28 +216,35 @@ bool SweepService::HandleRequestLine(int fd, const std::string& line) {
     RequestShutdown();
     return false;
   }
-  ServiceRequest request;
+  std::vector<std::string> args;
+  size_t start = 0;
+  for (size_t tab; (tab = line.find('\t', start)) != std::string::npos; start = tab + 1) {
+    args.push_back(line.substr(start, tab - start));
+  }
+  args.push_back(line.substr(start));
+  if (args.front() != "sweep") {
+    return SendAll(fd, "err want ping, shutdown or a tab-separated sweep command line\n");
+  }
+  args.erase(args.begin());
+  ServiceBatch batch;
   std::string error;
-  if (!ParseServiceRequest(line, &request, &error)) {
+  if (!factory_(args, &batch, &error)) {
     return SendAll(fd, "err " + error + "\n");
   }
-  Sweep sweep;
-  if (!factory_(request, &sweep, &error)) {
-    return SendAll(fd, "err " + error + "\n");
-  }
+  const Sweep& sweep = batch.sweep;
   const size_t total = sweep.size();
   if (total == 0) {
     return SendAll(fd, "err request selects no cells\n");
   }
   const uint64_t grid_digest = sweep.GridDigest();
-  const size_t selected = request.shard.CellCount(total);
+  const size_t selected = batch.shard.CellCount(total);
   if (!options_.quiet) {
-    std::fprintf(stderr, "serve: sweep shard=%u/%u cells=%zu/%zu\n", request.shard.index,
-                 request.shard.count, selected, total);
+    std::fprintf(stderr, "serve: sweep shard=%u/%u cells=%zu/%zu\n", batch.shard.index,
+                 batch.shard.count, selected, total);
   }
   char ok[160];
   std::snprintf(ok, sizeof(ok), "ok cells=%zu base_seed=%llu grid=%016llx total=%zu\n", selected,
-                static_cast<unsigned long long>(request.base_seed),
+                static_cast<unsigned long long>(batch.base_seed),
                 static_cast<unsigned long long>(grid_digest), total);
   if (!SendAll(fd, ok)) {
     return false;
@@ -460,9 +253,9 @@ bool SweepService::HandleRequestLine(int fd, const std::string& line) {
   // batch: cells already queued on the shared pool run to completion.
   std::atomic<bool> client_alive{true};
   RunnerOptions options;
-  options.base_seed = request.base_seed;
+  options.base_seed = batch.base_seed;
   options.pool = &pool_;
-  const ShardSpec shard = request.shard;
+  const ShardSpec shard = batch.shard;
   options.should_run = [shard](size_t i) { return shard.Owns(i); };
   options.on_cell_done = [fd, &client_alive](size_t i, const SweepCellResult& cell) {
     if (!client_alive.load()) {

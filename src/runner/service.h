@@ -13,8 +13,8 @@
 //   -> ping
 //   <- pong
 //
-//   -> sweep grids=difftest seeds=0:50 cpus=Skylake%20Client,Zen%203
-//            seed=1 fast=1 shard=0/2 [workloads=a,b] [configs=c,d]
+//   -> sweep<TAB>--grids=difftest<TAB>--cpus=Skylake Client,Zen 3
+//            <TAB>--seeds=0:50<TAB>--fast<TAB>--shard=0/2
 //   <- ok cells=<selected> base_seed=<u64> grid=<hex16> total=<u64>
 //   <- cell <checksum> <payload>        (one per completed cell,
 //                                        completion order)
@@ -25,7 +25,16 @@
 //                                        once in-flight batches finish)
 //
 //   <- err <reason>                     (any malformed or unsatisfiable
-//                                        request)
+//                                        request; one line)
+//
+// A sweep request is a `spectrebench sweep` command line with its
+// arguments separated by tabs instead of shell words, so values keep their
+// spaces without quoting. The service splits the line and hands the
+// arguments to the GridFactory the CLI injects; the CLI parses them with
+// its own flag parser, so a request accepts exactly the cell-selecting
+// sweep flags and a bad one answers with the text the CLI would print. A
+// line longer than kMaxRequestLineBytes answers "err request line too
+// long" and closes the connection.
 //
 // The `cell` lines are exactly the checkpoint journal records of
 // src/runner/checkpoint.h, and the `ok` line carries the journal header
@@ -34,20 +43,19 @@
 // *content* is deterministic (same seeds, same bytes, per the cross-process
 // determinism contract); only the arrival order varies.
 //
-// The service is grid-agnostic: a GridFactory injected by the CLI maps a
-// parsed request onto a Sweep, keeping src/runner free of src/core
-// dependencies.
+// The service knows no flag and no grid, which keeps src/runner free of
+// src/core dependencies.
 #ifndef SPECTREBENCH_SRC_RUNNER_SERVICE_H_
 #define SPECTREBENCH_SRC_RUNNER_SERVICE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/runner/shard.h"
@@ -56,28 +64,21 @@
 
 namespace specbench {
 
-// One parsed "sweep ..." request line.
-struct ServiceRequest {
-  std::vector<std::string> grids = {"fig2", "fig3", "sec45"};
-  std::vector<std::string> cpus;       // model names; empty = all
-  std::vector<std::string> workloads;  // empty = no filter
-  std::vector<std::string> configs;    // empty = no filter
+// The longest line either side of the socket reads.
+constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
+// What one sweep request runs: the grid, the base seed of its journal
+// header and the slice of cells to execute.
+struct ServiceBatch {
+  Sweep sweep;
   uint64_t base_seed = 1;
-  uint64_t seed_begin = 0;  // difftest grid seed window
-  uint64_t seed_end = 100;
-  bool fast = false;
   ShardSpec shard;
 };
 
-// Parses the key=value tokens after "sweep". Values are percent-encoded
-// where they may contain spaces (cpu names). Returns false with a reason.
-bool ParseServiceRequest(const std::string& line, ServiceRequest* out, std::string* error);
-// Builds the request line `ParseServiceRequest` accepts (client side).
-std::string SerializeServiceRequest(const ServiceRequest& request);
-
-// Maps a request onto a sweep grid. Returns false with a reason (unknown
-// grid or CPU name, empty selection, ...).
-using GridFactory = std::function<bool(const ServiceRequest&, Sweep*, std::string*)>;
+// Maps a request's arguments (the tab-separated fields after "sweep") onto
+// a batch. Returns false with a one-line reason.
+using GridFactory =
+    std::function<bool(const std::vector<std::string>& args, ServiceBatch*, std::string*)>;
 
 struct ServiceOptions {
   std::string socket_path;
@@ -95,8 +96,8 @@ class SweepService {
   // Binds and listens on the socket (unlinking any stale one). Returns
   // false with a reason on failure.
   bool Start(std::string* error);
-  // Accept loop: serves until a client sends "shutdown". Joins every
-  // connection thread before returning.
+  // Accept loop: serves until a client sends "shutdown". Returns once
+  // every connection, and so every in-flight batch, has finished.
   void Serve();
   // Asks the accept loop to stop (what the "shutdown" command calls).
   void RequestShutdown();
@@ -105,6 +106,7 @@ class SweepService {
 
  private:
   void HandleConnection(int fd);
+  void WaitForConnections();
   bool HandleRequestLine(int fd, const std::string& line);
 
   ServiceOptions options_;
@@ -113,8 +115,8 @@ class SweepService {
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::set<int> conn_fds_;
+  std::condition_variable conn_done_;  // signalled as each connection ends
+  std::set<int> conn_fds_;             // live connections
 };
 
 // Client helper: connects to `socket_path`, sends one request line, and

@@ -160,6 +160,14 @@ TEST(CliFlags, DifftestRejectsUnknownFlag) {
       << r.output;
 }
 
+TEST(CliFlags, UnknownCpuIsOneLineListingValidNames) {
+  const RunOutput r = RunCli("fig2 --cpus=Bogus");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_EQ(r.output,
+            "--cpus=Bogus: unknown CPU model \"Bogus\" (valid names: Broadwell, Skylake Client, "
+            "Cascade Lake, Ice Lake Client, Ice Lake Server, Zen, Zen 2, Zen 3)\n");
+}
+
 TEST(CliFlags, CrossValidateRequiresFast) {
   const RunOutput r = RunCli("difftest --seeds=0:1 --cross-validate");
   EXPECT_EQ(r.exit_code, 2);

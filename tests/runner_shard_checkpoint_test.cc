@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/runner/checkpoint.h"
+#include "src/runner/seed.h"
 #include "src/runner/shard.h"
 #include "src/runner/sweep.h"
 
@@ -181,6 +182,47 @@ TEST(CellRecord, RejectsCorruption) {
   SweepCellResult parsed;
   std::string error;
   EXPECT_FALSE(ParseCellRecord(record, &index, &parsed, &error));
+}
+
+// A record whose checksum matches its payload, so only the field parser
+// stands between these bytes and the journal.
+std::string RecordWithValidChecksum(const std::string& payload) {
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(payload)));
+  return std::string("cell ") + checksum + " " + payload;
+}
+
+TEST(CellRecord, RejectsIndexPastU64) {
+  // 2^64 + 3: a wrapping parser reads cell 3.
+  const std::string record =
+      RecordWithValidChecksum("18446744073709551619\t7\tcpu\tcfg\twl\t1\t1\t0\t0");
+  size_t index = 0;
+  SweepCellResult parsed;
+  std::string error;
+  EXPECT_FALSE(ParseCellRecord(record, &index, &parsed, &error)) << "index " << index;
+}
+
+TEST(CellRecord, RejectsMetricCountThatWrapsToFieldCount) {
+  // 9 + 4 * 2^62 wraps to 9, the field count of a metric-free record.
+  const std::string record =
+      RecordWithValidChecksum("0\t7\tcpu\tcfg\twl\t1\t1\t0\t4611686018427387904");
+  size_t index = 0;
+  SweepCellResult parsed;
+  std::string error;
+  EXPECT_FALSE(ParseCellRecord(record, &index, &parsed, &error));
+}
+
+TEST(Journal, RejectsHeaderNumbersPastU64) {
+  const std::string path = TempPath("header_overflow");
+  WriteFile(path,
+            "spectrebench-journal v1 base_seed=18446744073709551616 grid=0000000000000001 "
+            "cells=18446744073709551617\n");
+  CheckpointData data;
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path, &data, &error))
+      << "base_seed=" << data.header.base_seed << " cells=" << data.header.total_cells;
+  std::remove(path.c_str());
 }
 
 // --- Journal write / load ---------------------------------------------------

@@ -2,17 +2,22 @@
 // binary (SPECBENCH_CLI_PATH): SIGKILL a checkpointed sweep mid-grid and
 // resume it, shard a grid across processes and merge, and drive the
 // serve-mode Unix socket — in every case demanding output byte-identical to
-// the uninterrupted one-shot `--jobs=1` run.
+// the uninterrupted one-shot `--jobs=1` run. The serve cases also hold the
+// server to the CLI's error texts and to bounded memory per client.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -197,41 +202,74 @@ TEST(SweepServiceCli, ShardWithoutCheckpointIsRejected) {
   EXPECT_EQ(resume.exit_code, 2);
 }
 
+// A real `serve` process on its own socket. The destructor kills a server
+// that a failed assertion left running.
+struct ServerProcess {
+  explicit ServerProcess(const std::string& name) : socket_path(TempPath(name)) {
+    pid = SpawnCli({"serve", "--socket=" + socket_path, "--jobs=2", "--quiet"});
+  }
+  ~ServerProcess() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+
+  // Waits until the server answers a ping.
+  bool WaitUntilUp() {
+    for (int attempt = 0; attempt < 100; attempt++) {
+      if (Request("ping") == "pong") {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return false;
+  }
+
+  // Sends one request line: the first reply line, or "err <reason>".
+  std::string Request(const std::string& line) {
+    std::string ok_line;
+    std::vector<std::string> reply;
+    std::string error;
+    return SubmitRequestLine(socket_path, line, &ok_line, &reply, &error) ? ok_line
+                                                                           : "err " + error;
+  }
+
+  // Graceful shutdown: "bye", then the server process exits cleanly.
+  void Stop() {
+    EXPECT_EQ(Request("shutdown"), "bye");
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    pid = -1;
+  }
+
+  std::string socket_path;
+  pid_t pid = -1;
+};
+
+// The serve request for shard `shard` of 2 of the baseline grid.
+std::string ShardRequest(uint32_t shard) {
+  return std::string("sweep\t--grids=difftest\t--cpus=") + kCpus + "\t--seeds=" + kSeeds +
+         "\t--fast\t--shard=" + std::to_string(shard) + "/2";
+}
+
 // Serve mode: a real server process, two client batches over the socket,
 // journals assembled from the streamed records, merged, byte-compared.
 TEST(SweepServiceCli, ServeShardsMergeByteIdentical) {
-  const std::string socket_path = TempPath("sock");
-  const pid_t server = SpawnCli({"serve", "--socket=" + socket_path, "--jobs=2", "--quiet"});
-  ASSERT_GT(server, 0);
-
-  // Wait for the socket to accept a ping.
-  std::string ok_line;
-  std::vector<std::string> reply;
-  std::string error;
-  bool up = false;
-  for (int attempt = 0; attempt < 100; attempt++) {
-    if (SubmitRequestLine(socket_path, "ping", &ok_line, &reply, &error)) {
-      up = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  ASSERT_TRUE(up) << error;
-  EXPECT_EQ(ok_line, "pong");
+  ServerProcess server("sock");
+  ASSERT_GT(server.pid, 0);
+  ASSERT_TRUE(server.WaitUntilUp());
 
   // Two shard batches on separate connections, multiplexed onto the
   // server's shared pool.
-  ServiceRequest request;
-  request.grids = {"difftest"};
-  request.cpus = {"Skylake Client", "Zen 3"};
-  request.seed_begin = 0;
-  request.seed_end = 12;
-  request.fast = true;
+  std::string ok_line;
+  std::vector<std::string> reply;
+  std::string error;
   std::vector<std::string> journals;
   for (uint32_t shard = 0; shard < 2; shard++) {
-    request.shard = ShardSpec{shard, 2};
-    ASSERT_TRUE(SubmitRequestLine(socket_path, SerializeServiceRequest(request), &ok_line,
-                                  &reply, &error))
+    ASSERT_TRUE(
+        SubmitRequestLine(server.socket_path, ShardRequest(shard), &ok_line, &reply, &error))
         << error;
     unsigned long long cells = 0, base_seed = 0, grid = 0, total = 0;
     ASSERT_EQ(std::sscanf(ok_line.c_str(), "ok cells=%llu base_seed=%llu grid=%16llx total=%llu",
@@ -253,24 +291,119 @@ TEST(SweepServiceCli, ServeShardsMergeByteIdentical) {
   }
 
   // Malformed requests answer "err ..." without killing the connection pool.
-  EXPECT_FALSE(SubmitRequestLine(socket_path, "sweep grids=bogus", &ok_line, &reply, &error));
-  EXPECT_NE(error.find("unknown grid"), std::string::npos) << error;
-  EXPECT_FALSE(
-      SubmitRequestLine(socket_path, "sweep shard=9/2", &ok_line, &reply, &error));
+  const std::string bogus_grid = server.Request("sweep\t--grids=bogus");
+  EXPECT_EQ(bogus_grid.rfind("err ", 0), 0u) << bogus_grid;
+  EXPECT_NE(bogus_grid.find("unknown grid"), std::string::npos) << bogus_grid;
+  EXPECT_EQ(server.Request("sweep\t--shard=9/2").rfind("err ", 0), 0u);
 
   SweepResult merged;
   ASSERT_TRUE(MergeCheckpoints(journals, &merged, &error)) << error;
   EXPECT_EQ(merged.ToJson(), BaselineJson());
 
-  // Graceful shutdown: "bye", then the server process exits cleanly.
-  ASSERT_TRUE(SubmitRequestLine(socket_path, "shutdown", &ok_line, &reply, &error)) << error;
-  EXPECT_EQ(ok_line, "bye");
-  int status = 0;
-  ASSERT_EQ(::waitpid(server, &status, 0), server);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  server.Stop();
   for (const std::string& journal : journals) {
     std::remove(journal.c_str());
   }
+}
+
+// A request line is parsed by the CLI's own flag parser, so a bad flag
+// answers with the text `spectrebench sweep` prints for it.
+TEST(SweepServiceCli, ServeAnswersBadRequestsWithCliErrors) {
+  ServerProcess server("sock_errors");
+  ASSERT_GT(server.pid, 0);
+  ASSERT_TRUE(server.WaitUntilUp());
+
+  EXPECT_EQ(server.Request("sweep\t--seeds=5:2"),
+            "err --seeds=5:2: empty range (B must be greater than A)");
+  EXPECT_EQ(server.Request("sweep\t--jobs=4"),
+            "err spectrebench serve request: unrecognized option '--jobs' (valid options: "
+            "--grids --seeds --cpus --workloads --configs --seed --fast --shard)");
+  EXPECT_EQ(server.Request("sweep\t--cpus=Bogus").rfind(
+                "err --cpus=Bogus: unknown CPU model \"Bogus\" (valid names: ", 0),
+            0u);
+  // The key=value grammar of earlier versions is an error, not a crash.
+  const std::string old_form = server.Request("sweep grids=difftest");
+  EXPECT_EQ(old_form.rfind("err ", 0), 0u) << old_form;
+  EXPECT_EQ(server.Request("ping"), "pong");
+
+  server.Stop();
+}
+
+int ConnectTo(const std::string& socket_path) {
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket_path.c_str());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A client that never sends a newline gets an error and a closed
+// connection, not a server buffering without bound.
+TEST(SweepServiceCli, ServeRejectsOverlongRequestLine) {
+  ServerProcess server("sock_long");
+  ASSERT_GT(server.pid, 0);
+  ASSERT_TRUE(server.WaitUntilUp());
+
+  const int fd = ConnectTo(server.socket_path);
+  ASSERT_GE(fd, 0);
+  // Time out rather than hang if the server keeps reading and never replies.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)), 0);
+  const std::string line(2 * kMaxRequestLineBytes, 'x');
+  size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      break;  // the server closed its end mid-line
+    }
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+    reply.push_back(c);
+  }
+  ::close(fd);
+  EXPECT_EQ(reply, "err request line too long");
+  EXPECT_EQ(server.Request("ping"), "pong");
+
+  server.Stop();
+}
+
+// Virtual memory of `pid` in KiB, from /proc/<pid>/status.
+long VmSizeKib(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stol(line.substr(7));
+    }
+  }
+  return -1;
+}
+
+// Finished connection threads are released as they end: each one would
+// otherwise keep its stack mapped until shutdown.
+TEST(SweepServiceCli, ServeReleasesFinishedConnections) {
+  ServerProcess server("sock_reap");
+  ASSERT_GT(server.pid, 0);
+  ASSERT_TRUE(server.WaitUntilUp());
+
+  const long before = VmSizeKib(server.pid);
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 300; i++) {
+    ASSERT_EQ(server.Request("ping"), "pong");
+  }
+  const long after = VmSizeKib(server.pid);
+  EXPECT_LT(after - before, 256L * 1024) << "VmSize " << before << " KiB -> " << after << " KiB";
+
+  server.Stop();
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 //   spectrebench attacks [--cpus=...]
 //   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +38,7 @@
 #include "src/runner/service.h"
 #include "src/runner/shard.h"
 #include "src/util/check.h"
+#include "src/util/decimal.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
 
@@ -80,24 +80,6 @@ struct CliOptions {
   bool ping = false;                   // submit: liveness probe only
   bool send_shutdown = false;          // submit: stop the server
 };
-
-// Strict numeric flag parsing: decimal digits only, no sign, no trailing
-// garbage, no overflow. The numeric flags go through here, so a typo is a
-// command-line error rather than a silent 0.
-bool ParseU64Strict(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size() && errno == 0;
-}
 
 // The int-valued twin (--jobs, --trials): ParseU64Strict, then the value
 // must lie in [min, INT_MAX].
@@ -147,6 +129,21 @@ struct CommandSpec {
   std::vector<const char*> flags;  // allowed, without the =value suffix
 };
 
+// The cell-selecting sweep flags: what `submit` forwards and what a serve
+// request line may carry.
+const CommandSpec& ServeRequestSpec() {
+  static const CommandSpec spec = {
+      "serve request",
+      {"--grids", "--seeds", "--cpus", "--workloads", "--configs", "--seed", "--fast", "--shard"}};
+  return spec;
+}
+
+std::vector<const char*> SubmitFlags() {
+  std::vector<const char*> flags = {"--socket", "--checkpoint", "--ping", "--shutdown"};
+  flags.insert(flags.end(), ServeRequestSpec().flags.begin(), ServeRequestSpec().flags.end());
+  return flags;
+}
+
 const std::vector<CommandSpec>& CommandSpecs() {
   static const std::vector<CommandSpec> specs = {
       {"list", {}},
@@ -172,9 +169,7 @@ const std::vector<CommandSpec>& CommandSpecs() {
         "--workloads", "--configs", "--shard", "--checkpoint", "--resume"}},
       {"merge", {"--inputs", "--csv"}},
       {"serve", {"--socket", "--jobs", "--quiet"}},
-      {"submit",
-       {"--socket", "--grids", "--seeds", "--cpus", "--workloads", "--configs", "--seed",
-        "--fast", "--shard", "--checkpoint", "--ping", "--shutdown"}},
+      {"submit", SubmitFlags()},
       {"counters", {"--cpus", "--workloads", "--boot-params", "--strict-boot-params"}},
       {"attacks", {"--cpus"}},
       {"pareto", {"--json", "--csv", "--jobs", "--trials", "--seed", "--cpus"}},
@@ -196,10 +191,9 @@ const CommandSpec* FindCommandSpec(const std::string& command) {
   return nullptr;
 }
 
-// Exit-2 diagnostic for a flag the command does not take (or that no
-// command takes). Lists the valid options so the fix is one glance away.
-int RejectFlag(const std::string& command, const CommandSpec& spec, const std::string& arg) {
-  const std::string flag = arg.substr(0, arg.find('='));
+// Diagnostic for a flag the command does not take (or that no command
+// takes). Lists the valid options so the fix is one glance away.
+std::string UnrecognizedFlag(const CommandSpec& spec, const std::string& arg) {
   std::string valid;
   for (const char* f : spec.flags) {
     if (!valid.empty()) {
@@ -210,9 +204,8 @@ int RejectFlag(const std::string& command, const CommandSpec& spec, const std::s
   if (valid.empty()) {
     valid = "none";
   }
-  std::fprintf(stderr, "spectrebench %s: unrecognized option '%s' (valid options: %s)\n",
-               command.c_str(), flag.c_str(), valid.c_str());
-  return 2;
+  return std::string("spectrebench ") + spec.name + ": unrecognized option '" +
+         arg.substr(0, arg.find('=')) + "' (valid options: " + valid + ")";
 }
 
 bool FlagAllowed(const CommandSpec& spec, const std::string& arg) {
@@ -252,9 +245,9 @@ bool Contains(const std::vector<std::string>& haystack, const std::string& needl
   return false;
 }
 
-SamplerOptions SamplerForFast(bool fast) {
+SamplerOptions SamplerFor(const CliOptions& options) {
   SamplerOptions sampler;
-  if (fast) {
+  if (options.fast) {
     sampler.min_samples = 3;
     sampler.max_samples = 6;
     sampler.target_relative_ci = 0.03;
@@ -266,39 +259,125 @@ SamplerOptions SamplerForFast(bool fast) {
   return sampler;
 }
 
-SamplerOptions SamplerFor(const CliOptions& options) { return SamplerForFast(options.fast); }
-
-std::vector<Uarch> ParseCpuList(const std::string& list) {
+// Resolves a --cpus list of Table 2 names. An unknown or empty list is an
+// error that names every valid model.
+bool ParseCpuList(const std::string& list, std::vector<Uarch>* out, std::string* error) {
+  std::string valid;
+  for (Uarch u : AllUarches()) {
+    valid += std::string(valid.empty() ? "" : ", ") + UarchName(u);
+  }
   std::vector<Uarch> cpus;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const std::string name =
-        list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!name.empty()) {
-      const CpuModel* model = TryGetCpuModelByName(name);
-      if (model == nullptr) {
-        std::fprintf(stderr, "unknown CPU model: \"%s\"\nvalid names:\n", name.c_str());
-        for (Uarch u : AllUarches()) {
-          std::fprintf(stderr, "  %s\n", UarchName(u));
-        }
-        std::exit(2);
-      }
-      cpus.push_back(model->uarch);
+  for (const std::string& name : SplitCsv(list)) {
+    const CpuModel* model = TryGetCpuModelByName(name);
+    if (model == nullptr) {
+      *error = "unknown CPU model \"" + name + "\" (valid names: " + valid + ")";
+      return false;
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
+    cpus.push_back(model->uarch);
   }
   if (cpus.empty()) {
-    std::fprintf(stderr, "--cpus= needs at least one name; valid names:\n");
-    for (Uarch u : AllUarches()) {
-      std::fprintf(stderr, "  %s\n", UarchName(u));
-    }
-    std::exit(2);
+    *error = "needs at least one name (valid names: " + valid + ")";
+    return false;
   }
-  return cpus;
+  *out = cpus;
+  return true;
+}
+
+// Parses the flags after the command into `options`, each checked against
+// `spec`'s allowlist. It prints nothing and never exits: a bad flag comes
+// back as a one-line diagnostic in `error`, which `main` prints and a serve
+// request answers with. The texts are golden-tested in tests/cli_test.cc.
+bool ParseFlags(const CommandSpec& spec, const std::vector<std::string>& args,
+                CliOptions* options, std::string* error) {
+  for (const std::string& arg : args) {
+    if (!FlagAllowed(spec, arg)) {
+      *error = UnrecognizedFlag(spec, arg);
+      return false;
+    }
+    std::string problem;
+    if (arg == "--fast") {
+      options->fast = true;
+    } else if (arg == "--cross-validate") {
+      options->cross_validate = true;
+    } else if (arg == "--json") {
+      options->json = true;
+    } else if (arg == "--csv") {
+      options->csv = true;
+    } else if (arg == "--quiet") {
+      options->quiet = true;
+    } else if (arg.rfind("--cpus=", 0) == 0) {
+      if (ParseCpuList(arg.substr(7), &options->cpus, &problem)) {
+        options->cpus_given = true;
+      }
+    } else if (arg.rfind("--grids=", 0) == 0) {
+      options->grids = SplitCsv(arg.substr(8));
+    } else if (arg.rfind("--workloads=", 0) == 0) {
+      options->workloads = SplitCsv(arg.substr(12));
+    } else if (arg.rfind("--configs=", 0) == 0) {
+      options->configs = SplitCsv(arg.substr(10));
+    } else if (arg.rfind("--boot-params=", 0) == 0) {
+      options->boot_params = SplitCsv(arg.substr(14));
+    } else if (arg == "--strict-boot-params") {
+      options->strict_boot_params = true;
+    } else if (arg.rfind("--jobs=", 0) == 0) {
+      if (!ParseIntStrict(arg.substr(7), 0, &options->jobs)) {
+        problem = "want a worker count >= 0 (0 = all cores)";
+      }
+    } else if (arg.rfind("--trials=", 0) == 0) {
+      if (!ParseIntStrict(arg.substr(9), 1, &options->trials)) {
+        problem = "want a positive repeat count";
+      }
+    } else if (arg.rfind("--seed=", 0) == 0) {
+      if (!ParseU64Strict(arg.substr(7), &options->seed)) {
+        problem = "\"" + arg.substr(7) + "\" is not a decimal seed";
+      }
+    } else if (arg.rfind("--seeds=", 0) == 0) {
+      if (ParseSeedRange(arg.substr(8), &options->seed_begin, &options->seed_end, &problem)) {
+        options->seeds_given = true;
+      }
+    } else if (arg.rfind("--passes=", 0) == 0) {
+      options->passes = SplitCsv(arg.substr(9));
+    } else if (arg.rfind("--inject-alu-fault=", 0) == 0) {
+      // 0 would inject nothing and let the self-check pass vacuously.
+      if (!ParseU64Strict(arg.substr(19), &options->inject_alu_fault) ||
+          options->inject_alu_fault == 0) {
+        problem = "want a positive ALU-op index";
+      }
+    } else if (arg.rfind("--corpus-out=", 0) == 0) {
+      options->corpus_out = arg.substr(13);
+    } else if (arg.rfind("--replay=", 0) == 0) {
+      options->replay = arg.substr(9);
+    } else if (arg == "--arch-hashes") {
+      options->arch_hashes = true;
+    } else if (arg.rfind("--shard=", 0) == 0) {
+      ParseShardSpec(arg.substr(8), &options->shard, &problem);
+    } else if (arg.rfind("--checkpoint=", 0) == 0) {
+      options->checkpoint = arg.substr(13);
+    } else if (arg == "--resume") {
+      options->resume = true;
+    } else if (arg.rfind("--inputs=", 0) == 0) {
+      options->inputs = SplitCsv(arg.substr(9));
+    } else if (arg.rfind("--socket=", 0) == 0) {
+      options->socket_path = arg.substr(9);
+    } else if (arg == "--ping") {
+      options->ping = true;
+    } else if (arg == "--shutdown") {
+      options->send_shutdown = true;
+    } else {
+      // Allowlisted but not handled above: a CommandSpec / parser mismatch.
+      *error = "internal error: unhandled option " + arg;
+      return false;
+    }
+    if (!problem.empty()) {
+      *error = arg + ": " + problem;
+      return false;
+    }
+  }
+  if (options->cross_validate && !options->fast) {
+    *error = "--cross-validate requires --fast";
+    return false;
+  }
+  return true;
 }
 
 // Arch-hash digest lines for one corpus program across every CPU x difftest
@@ -353,25 +432,22 @@ void EmitArchHashes(const Program& program, const std::vector<Uarch>& cpus,
 // Builds the grid a sweep/serve request names, with workload/config filters
 // applied. Shared between `sweep` and the serve-mode GridFactory so a
 // service batch is cell-for-cell the grid the one-shot command would run.
-bool BuildFilteredSweep(const std::vector<std::string>& grids, const std::vector<Uarch>& cpus,
-                        bool fast, uint64_t seed_begin, uint64_t seed_end,
-                        const std::vector<std::string>& workloads,
-                        const std::vector<std::string>& configs, Sweep* out, std::string* error) {
+bool BuildFilteredSweep(const CliOptions& options, Sweep* out, std::string* error) {
   NamedGridOptions grid;
-  grid.grids = grids;
-  grid.cpus = cpus;
-  grid.sampler = SamplerForFast(fast);
-  grid.seed_begin = seed_begin;
-  grid.seed_end = seed_end;
-  grid.fast = fast;
+  grid.grids = options.grids;
+  grid.cpus = options.cpus;
+  grid.sampler = SamplerFor(options);
+  grid.seed_begin = options.seed_begin;
+  grid.seed_end = options.seed_end;
+  grid.fast = options.fast;
   if (!BuildNamedGrids(grid, out, error)) {
     return false;
   }
-  if (!workloads.empty()) {
-    out->Retain([&](const SweepCellKey& key) { return Contains(workloads, key.workload); });
+  if (!options.workloads.empty()) {
+    out->Retain([&](const SweepCellKey& key) { return Contains(options.workloads, key.workload); });
   }
-  if (!configs.empty()) {
-    out->Retain([&](const SweepCellKey& key) { return Contains(configs, key.config); });
+  if (!options.configs.empty()) {
+    out->Retain([&](const SweepCellKey& key) { return Contains(options.configs, key.config); });
   }
   if (out->size() == 0) {
     *error = "cell selection matched nothing";
@@ -399,8 +475,7 @@ int RunSweep(const CliOptions& options) {
 
   Sweep sweep;
   std::string error;
-  if (!BuildFilteredSweep(options.grids, options.cpus, options.fast, options.seed_begin,
-                          options.seed_end, options.workloads, options.configs, &sweep, &error)) {
+  if (!BuildFilteredSweep(options, &sweep, &error)) {
     std::fprintf(stderr, "sweep: %s\n", error.c_str());
     return 2;
   }
@@ -527,26 +602,21 @@ int RunServe(const CliOptions& options) {
   service_options.socket_path = options.socket_path;
   service_options.jobs = options.jobs;
   service_options.quiet = options.quiet;
-  const GridFactory factory = [](const ServiceRequest& request, Sweep* out, std::string* error) {
-    std::vector<Uarch> cpus;
-    if (request.cpus.empty()) {
-      cpus = AllUarches();
-    } else {
-      for (const std::string& name : request.cpus) {
-        const CpuModel* model = TryGetCpuModelByName(name);
-        if (model == nullptr) {
-          *error = "unknown CPU model \"" + name + "\"";
-          return false;
-        }
-        cpus.push_back(model->uarch);
-      }
-    }
-    if (request.seed_end <= request.seed_begin) {
-      *error = "empty difftest seed range";
+  // A request is parsed exactly as `sweep` parses its command line, so an
+  // error reply carries the text the CLI would print for the same args.
+  const GridFactory factory = [](const std::vector<std::string>& args, ServiceBatch* out,
+                                 std::string* error) {
+    CliOptions request;
+    if (!ParseFlags(ServeRequestSpec(), args, &request, error)) {
       return false;
     }
-    return BuildFilteredSweep(request.grids, cpus, request.fast, request.seed_begin,
-                              request.seed_end, request.workloads, request.configs, out, error);
+    if (!BuildFilteredSweep(request, &out->sweep, error)) {
+      *error = "sweep: " + *error;
+      return false;
+    }
+    out->base_seed = request.seed;
+    out->shard = request.shard;
+    return true;
   };
   SweepService service(std::move(service_options), factory);
   std::string error;
@@ -558,10 +628,10 @@ int RunServe(const CliOptions& options) {
   return 0;
 }
 
-// Service client: submits one batch and writes the streamed records back
-// out as a journal (sorted by cell index, so the bytes are deterministic),
-// ready for `spectrebench merge`.
-int RunSubmit(const CliOptions& options) {
+// Service client: forwards its cell-selecting flags as one request line and
+// writes the streamed records back out as a journal (sorted by cell index,
+// so the bytes are deterministic), ready for `spectrebench merge`.
+int RunSubmit(const CliOptions& options, const std::vector<std::string>& args) {
   if (options.socket_path.empty()) {
     std::fprintf(stderr, "submit: --socket=PATH is required\n");
     return 2;
@@ -579,22 +649,19 @@ int RunSubmit(const CliOptions& options) {
     return 0;
   }
 
-  ServiceRequest request;
-  request.grids = options.grids;
-  if (options.cpus_given) {
-    for (Uarch u : options.cpus) {
-      request.cpus.push_back(UarchName(u));
+  std::string request = "sweep";
+  for (const std::string& arg : args) {
+    if (!FlagAllowed(ServeRequestSpec(), arg)) {
+      continue;
     }
+    if (arg.find_first_of("\t\n") != std::string::npos) {
+      std::fprintf(stderr, "submit: %s: a request argument cannot hold a tab or newline\n",
+                   arg.c_str());
+      return 2;
+    }
+    request += "\t" + arg;
   }
-  request.workloads = options.workloads;
-  request.configs = options.configs;
-  request.base_seed = options.seed;
-  request.seed_begin = options.seed_begin;
-  request.seed_end = options.seed_end;
-  request.fast = options.fast;
-  request.shard = options.shard;
-  if (!SubmitRequestLine(options.socket_path, SerializeServiceRequest(request), &ok_line, &reply,
-                         &error)) {
+  if (!SubmitRequestLine(options.socket_path, request, &ok_line, &reply, &error)) {
     std::fprintf(stderr, "submit: %s\n", error.c_str());
     return 1;
   }
@@ -1139,101 +1206,11 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
+  const std::vector<std::string> args(argv + 2, argv + argc);
   CliOptions options;
-  for (int i = 2; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (!FlagAllowed(*spec, arg)) {
-      return RejectFlag(command, *spec, arg);
-    }
-    if (arg == "--fast") {
-      options.fast = true;
-    } else if (arg == "--cross-validate") {
-      options.cross_validate = true;
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg.rfind("--cpus=", 0) == 0) {
-      options.cpus = ParseCpuList(arg.substr(7));
-      options.cpus_given = true;
-    } else if (arg.rfind("--grids=", 0) == 0) {
-      options.grids = SplitCsv(arg.substr(8));
-    } else if (arg.rfind("--workloads=", 0) == 0) {
-      options.workloads = SplitCsv(arg.substr(12));
-    } else if (arg.rfind("--configs=", 0) == 0) {
-      options.configs = SplitCsv(arg.substr(10));
-    } else if (arg.rfind("--boot-params=", 0) == 0) {
-      options.boot_params = SplitCsv(arg.substr(14));
-    } else if (arg == "--strict-boot-params") {
-      options.strict_boot_params = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!ParseIntStrict(arg.substr(7), 0, &options.jobs)) {
-        std::fprintf(stderr, "%s: want a worker count >= 0 (0 = all cores)\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      if (!ParseIntStrict(arg.substr(9), 1, &options.trials)) {
-        std::fprintf(stderr, "%s: want a positive repeat count\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseU64Strict(arg.substr(7), &options.seed)) {
-        std::fprintf(stderr, "%s: \"%s\" is not a decimal seed\n", arg.c_str(),
-                     arg.c_str() + 7);
-        return 2;
-      }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      const std::string value = arg.substr(8);
-      std::string error;
-      if (!ParseSeedRange(value, &options.seed_begin, &options.seed_end, &error)) {
-        std::fprintf(stderr, "--seeds=%s: %s\n", value.c_str(), error.c_str());
-        return 2;
-      }
-      options.seeds_given = true;
-    } else if (arg.rfind("--passes=", 0) == 0) {
-      options.passes = SplitCsv(arg.substr(9));
-    } else if (arg.rfind("--inject-alu-fault=", 0) == 0) {
-      // 0 would inject nothing and let the self-check pass vacuously.
-      if (!ParseU64Strict(arg.substr(19), &options.inject_alu_fault) ||
-          options.inject_alu_fault == 0) {
-        std::fprintf(stderr, "%s: want a positive ALU-op index\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--corpus-out=", 0) == 0) {
-      options.corpus_out = arg.substr(13);
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      options.replay = arg.substr(9);
-    } else if (arg == "--arch-hashes") {
-      options.arch_hashes = true;
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      const std::string value = arg.substr(8);
-      std::string error;
-      if (!ParseShardSpec(value, &options.shard, &error)) {
-        std::fprintf(stderr, "--shard=%s: %s\n", value.c_str(), error.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      options.checkpoint = arg.substr(13);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg.rfind("--inputs=", 0) == 0) {
-      options.inputs = SplitCsv(arg.substr(9));
-    } else if (arg.rfind("--socket=", 0) == 0) {
-      options.socket_path = arg.substr(9);
-    } else if (arg == "--ping") {
-      options.ping = true;
-    } else if (arg == "--shutdown") {
-      options.send_shutdown = true;
-    } else {
-      // Allowlisted but not handled above: a CommandSpec / parser mismatch.
-      std::fprintf(stderr, "internal error: unhandled option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (options.cross_validate && !options.fast) {
-    std::fprintf(stderr, "--cross-validate requires --fast\n");
+  std::string error;
+  if (!ParseFlags(*spec, args, &options, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 
@@ -1342,7 +1319,7 @@ int main(int argc, char** argv) {
     return RunServe(options);
   }
   if (command == "submit") {
-    return RunSubmit(options);
+    return RunSubmit(options, args);
   }
   if (command == "counters") {
     return RunCounters(options);
